@@ -1,9 +1,14 @@
 """Collapse of the two-photon state through the signal POVM and the heralded
-idler density matrix, plus all figures of merit.
+idler state, plus all figures of merit.
 
 Conventions: detection modes satisfy (1/2pi) integral phi_m phi_n dw = delta_mn,
 density-matrix trace is (1/2pi) integral rho(w, w) dw, and idler eigenmodes are
 normalized under the same (1/2pi) measure so rho = sum_n lambda_n e_n e_n^*.
+
+The heralded state rho = sum_m eta_m Phi_m Phi_m^* has rank <= M, the number
+of retained detection modes.  It is held as its M weighted amplitudes and
+diagonalized by a thin SVD of the n_i x M amplitude matrix (the Schmidt
+decomposition); the dense n_i x n_i matrix is only built when read.
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .jsa import JsaField, jsa_norm, pair_probability
-from .numerics import FrequencyGrid, hermitian_eigen, rms_time_width
+from .numerics import FrequencyGrid, rms_time_width
 from .povm import DetectionModeSet, DetectorParams, povm_weights
 from .jsa import SourceParams
 
@@ -24,18 +29,28 @@ PULSE_LENGTH_FACTOR = 4.0 * np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class HeraldedState:
-    """Heralded idler density matrix on a frequency grid with its spectrum."""
+    """Heralded idler state on a frequency grid, held as rank-<=M amplitudes,
+    with its spectrum.
+
+    rho(w_i, w_i') = sum_m a_m(w_i) a_m^*(w_i') for the rows a_m of
+    ``amplitudes``; ``rho`` builds that dense matrix on each read.
+    """
 
     grid_i: FrequencyGrid
-    rho: np.ndarray  # (n_i, n_i), unit trace under (1/2pi) grid quadrature
-    lam: np.ndarray  # eigenvalues, descending, summing to 1
-    eigenmodes: np.ndarray  # (n_i, n_i) columns, (1/2pi)-orthonormal
+    amplitudes: np.ndarray  # (M, n_i), sqrt(eta_m / trace) Phi_m
+    lam: np.ndarray  # eigenvalues, descending, summing to 1; at most M of them
+    eigenmodes: np.ndarray  # (n_i, lam.size) columns, (1/2pi)-orthonormal
 
     def __post_init__(self):
-        for name in ("rho", "lam", "eigenmodes"):
+        for name in ("amplitudes", "lam", "eigenmodes"):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def rho(self) -> np.ndarray:
+        """(n_i, n_i) density matrix, unit trace under (1/2pi) grid quadrature."""
+        return self.amplitudes.T @ self.amplitudes.conj()
 
 
 @dataclass(frozen=True)
@@ -85,11 +100,12 @@ def idler_density_matrix(
     eta_weights: np.ndarray,
     grid_i: FrequencyGrid,
 ) -> HeraldedState:
-    """Heralded idler density matrix from the collapsed mode amplitudes.
+    """Heralded idler state from the collapsed mode amplitudes.
 
     rho(w_i, w_i') proportional to sum_m eta_m Phi_m(w_i) Phi_m^*(w_i'),
-    normalized to unit trace, then diagonalized with quadrature-weighted
-    symmetrization.
+    normalized to unit trace.  With a_m = sqrt(eta_m / trace) Phi_m and
+    b_m = a_m sqrt(w_i / 2pi), the quadrature-weighted rho equals B^T B^*, so
+    the thin SVD B^T = U S V^* gives its eigenvalues S^2 and eigenvectors U.
     """
     collapsed = np.asarray(collapsed, dtype=complex)
     eta_weights = np.asarray(eta_weights, dtype=float)
@@ -99,18 +115,21 @@ def idler_density_matrix(
         raise ValueError("collapsed amplitudes do not match the idler grid")
     if not np.any(np.abs(collapsed) > 0):
         raise ValueError("all collapsed amplitudes vanish")
+    if np.any(eta_weights < 0.0):
+        raise ValueError("detection-mode efficiencies must be non-negative")
 
-    raw = np.einsum("m,mi,mj->ij", eta_weights, collapsed, collapsed.conj())
-    trace = float(np.real(grid_i.weights @ np.diag(raw))) / (2.0 * np.pi)
+    trace = float(eta_weights @ (np.abs(collapsed) ** 2 @ grid_i.weights)) / (2.0 * np.pi)
     if trace <= 0.0:
         raise ValueError("heralded state has zero weight")
-    rho = raw / trace
+    amplitudes = np.sqrt(eta_weights / trace)[:, None] * collapsed
 
     sw = np.sqrt(grid_i.weights)
-    eig = hermitian_eigen(sw[:, None] * rho * sw[None, :] / (2.0 * np.pi))
-    lam = eig.values / eig.values.sum()
-    eigenmodes = (eig.vectors / sw[:, None]) * np.sqrt(2.0 * np.pi)
-    return HeraldedState(grid_i=grid_i, rho=rho, lam=lam, eigenmodes=eigenmodes)
+    u, s, _ = np.linalg.svd((amplitudes * sw[None, :]).T / np.sqrt(2.0 * np.pi),
+                            full_matrices=False)
+    lam = s**2 / np.sum(s**2)
+    eigenmodes = (u / sw[:, None]) * np.sqrt(2.0 * np.pi)
+    return HeraldedState(grid_i=grid_i, amplitudes=amplitudes, lam=lam,
+                         eigenmodes=eigenmodes)
 
 
 def heralding_efficiency(state: HeraldedState) -> float:

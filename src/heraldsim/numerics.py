@@ -7,6 +7,7 @@ share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,6 +48,15 @@ class FrequencyGrid:
         return self.weights @ np.asarray(samples)
 
 
+@lru_cache(maxsize=64)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def build_grid(lo: float, hi: float, n: int) -> FrequencyGrid:
     """Gauss-Legendre nodes and weights mapped onto [lo, hi].
 
@@ -58,7 +68,7 @@ def build_grid(lo: float, hi: float, n: int) -> FrequencyGrid:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre_rule(n)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     return FrequencyGrid(nodes=mid + half * x, weights=half * w, lo=lo, hi=hi)

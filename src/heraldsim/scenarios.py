@@ -388,25 +388,25 @@ def scenario_to_config(s: Scenario) -> str:
     if s.physical is not None:
         ps = s.physical
         lines += [
-            f"pump_wavelength_nm = {ps.pump_wavelength_nm!r}",
-            f"pump_bandwidth_fwhm_nm = {ps.pump_bandwidth_fwhm_nm!r}",
-            f"signal_center_wavelength_nm = {ps.signal_center_wavelength_nm!r}",
-            f"filter_bandwidth_nm = {ps.filter_bandwidth_nm!r}",
-            f"fiber_length_m = {ps.fiber_length_m!r}",
-            f"beta2 = {ps.beta2!r}",
-            f"beta3 = {ps.beta3!r}",
+            f"pump_wavelength_nm = {float(ps.pump_wavelength_nm)!r}",
+            f"pump_bandwidth_fwhm_nm = {float(ps.pump_bandwidth_fwhm_nm)!r}",
+            f"signal_center_wavelength_nm = {float(ps.signal_center_wavelength_nm)!r}",
+            f"filter_bandwidth_nm = {float(ps.filter_bandwidth_nm)!r}",
+            f"fiber_length_m = {float(ps.fiber_length_m)!r}",
+            f"beta2 = {float(ps.beta2)!r}",
+            f"beta3 = {float(ps.beta3)!r}",
         ]
     else:
         lines += [
-            f"sigma = {s.source.sigma!r}",
-            f"mu_s = {s.source.mu_s!r}",
-            f"mu_i = {s.source.mu_i!r}",
-            f"B = {s.detector.B!r}",
+            f"sigma = {float(s.source.sigma)!r}",
+            f"mu_s = {float(s.source.mu_s)!r}",
+            f"mu_i = {float(s.source.mu_i)!r}",
+            f"B = {float(s.detector.B)!r}",
         ]
     lines += [
-        f"T = {s.detector.T!r}",
-        f"eta = {s.detector.eta!r}",
-        f"kappa = {s.source.kappa!r}",
+        f"T = {float(s.detector.T)!r}",
+        f"eta = {float(s.detector.eta)!r}",
+        f"kappa = {float(s.source.kappa)!r}",
         f"phase = {'on' if s.source.include_group_delay_phase else 'off'}",
         f"grid_signal = {s.n_signal}",
         f"grid_idler = {s.n_idler}",
@@ -414,12 +414,12 @@ def scenario_to_config(s: Scenario) -> str:
     if s.m_modes is not None:
         lines.append(f"modes = {s.m_modes}")
     if s.pair_probability is not None:
-        lines.append(f"pair_probability = {s.pair_probability!r}")
+        lines.append(f"pair_probability = {float(s.pair_probability)!r}")
     if s.external_efficiency is not None:
-        lines.append(f"external_efficiency = {s.external_efficiency!r}")
+        lines.append(f"external_efficiency = {float(s.external_efficiency)!r}")
     if s.sweep is not None:
         sw = s.sweep
-        lines.append(f"sweep = {sw.param} {sw.start!r} {sw.stop!r} {sw.count}")
+        lines.append(f"sweep = {sw.param} {float(sw.start)!r} {float(sw.stop)!r} {sw.count}")
     lines.append(f"output_format = {s.output_format}")
     if s.output_path is not None:
         lines.append(f"output_path = {s.output_path}")

@@ -72,6 +72,17 @@ class TestRunCommand:
         idl = (dump / "idler_modes.csv").read_text().splitlines()
         assert idl[0].startswith("omega_i,mode_0_re,mode_0_im")
 
+    def test_dump_modes_writes_one_idler_mode_per_rank(self, tmp_path):
+        # with M = 3 detection modes the heralded state has rank <= 3, so only
+        # three idler eigenmodes exist to write
+        cfg = tmp_path / "m3.cfg"
+        cfg.write_text(FIG3_CFG + "modes = 3\n")
+        dump = tmp_path / "dump"
+        assert cli.main(["run", str(cfg), "--dump-modes", str(dump)]) == 0
+        header = (dump / "idler_modes.csv").read_text().splitlines()[0]
+        assert header == "omega_i," + ",".join(
+            f"mode_{n}_re,mode_{n}_im" for n in range(3))
+
 
 class TestSweepCommand:
     def test_sweep_csv(self, tmp_path, capsys):

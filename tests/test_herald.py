@@ -148,6 +148,62 @@ class TestIdlerDensityMatrix:
         with pytest.raises(ValueError):
             idler_density_matrix(np.zeros((2, idler_grid.n)), np.ones(2), idler_grid)
 
+    def test_rejects_negative_weights(self, idler_grid):
+        # the amplitudes carry sqrt(eta_m), which a negative efficiency has not
+        with pytest.raises(ValueError, match="non-negative"):
+            idler_density_matrix(np.ones((2, idler_grid.n)), np.array([1.0, -1e-3]),
+                                 idler_grid)
+
+
+def dense_reference_state(collapsed, eta, grid):
+    """rho, lambda and weighted eigenvectors the dense way: einsum, quadrature
+    symmetrization and a full n_i x n_i eigensolve."""
+    raw = np.einsum("m,mi,mj->ij", eta, collapsed, collapsed.conj())
+    rho = raw / (np.real(grid.weights @ np.diag(raw)) / (2 * np.pi))
+    sw = np.sqrt(grid.weights)
+    a = sw[:, None] * rho * sw[None, :] / (2 * np.pi)
+    vals, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
+    order = np.argsort(-vals, kind="stable")
+    return rho, vals[order] / vals.sum(), vecs[:, order]
+
+
+class TestLowRankAgainstDenseReference:
+    @pytest.mark.parametrize("m,n_i,distinct_rows", [
+        (1, 64, 1), (5, 128, 5), (12, 256, 12), (20, 384, 20),
+        (8, 192, 4), (20, 64, 10),  # rank-deficient: rows drawn with repeats
+    ])
+    def test_matches_dense_eigensolve(self, m, n_i, distinct_rows):
+        rng = np.random.default_rng(1000 * m + n_i)
+        grid = build_grid(-8.0, 8.0, n_i)
+        rows = (rng.normal(size=(distinct_rows, n_i))
+                + 1j * rng.normal(size=(distinct_rows, n_i)))
+        collapsed = rows[rng.integers(0, distinct_rows, m)] if distinct_rows < m else rows
+        eta = rng.permutation(np.logspace(0, -12, m))
+
+        state = idler_density_matrix(collapsed, eta, grid)
+        rho_ref, lam_ref, vecs_ref = dense_reference_state(collapsed, eta, grid)
+        r = state.lam.size
+        assert r <= m and state.eigenmodes.shape == (n_i, r)
+        assert np.max(np.abs(state.lam - lam_ref[:r])) < 1e-12
+        assert np.max(np.abs(lam_ref[r:]), initial=0.0) < 1e-12
+
+        sw = np.sqrt(grid.weights)[:, None]
+        vecs = state.eigenmodes * sw / np.sqrt(2 * np.pi)
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(r))) < 1e-12
+        for k in range(1, r + 1):
+            # rounding moves a top-k projector by about n_i * eps over the gap
+            gap = lam_ref[k - 1] - lam_ref[k]
+            if gap < 1e-10:
+                continue
+            p = vecs[:, :k] @ vecs[:, :k].conj().T
+            p_ref = vecs_ref[:, :k] @ vecs_ref[:, :k].conj().T
+            assert np.max(np.abs(p - p_ref)) < 1e-14 / gap
+
+        rho = state.rho
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12 * np.max(np.abs(rho))
+        assert np.real(grid.weights @ np.diag(rho)) / (2 * np.pi) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(rho - rho_ref)) < 1e-12 * np.max(np.abs(rho_ref))
+
 
 class TestTMin:
     def test_gaussian_pump_convention(self):

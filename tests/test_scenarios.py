@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,6 +89,14 @@ class TestConfigParsing:
         loaded = load_scenario(path)
         assert loaded.source == base.source
         assert loaded.detector == base.detector
+
+    def test_direct_form_round_trip_of_numpy_floats(self, tmp_path):
+        # the fiber presets resolve to np.float64 fields, whose numpy 2 repr
+        # "np.float64(...)" is not a number the config parser accepts
+        base = replace(preset("fig5-9ps"), physical=None)
+        path = tmp_path / "direct.cfg"
+        path.write_text(scenario_to_config(base))
+        assert load_scenario(path) == base
 
 
 class TestGridExtent:
