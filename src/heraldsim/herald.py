@@ -78,6 +78,18 @@ def collapsed_wavefunctions(jsa_band: JsaField, modes: DetectionModeSet) -> np.n
     return (modes.modes * gs.weights[None, :]) @ jsa_band.values
 
 
+def detection_efficiency(
+    collapsed: np.ndarray,
+    eta_weights: np.ndarray,
+    grid_i: FrequencyGrid,
+    norm_full: float,
+) -> float:
+    """Detection efficiency D_s = P_s / P_pair: the POVM-weighted norm of the
+    collapsed amplitudes over the full joint-amplitude norm."""
+    mode_norms = np.abs(collapsed) ** 2 @ grid_i.weights
+    return float(eta_weights @ mode_norms) / (2.0 * np.pi * norm_full)
+
+
 def signal_click_probability(
     jsa_full: JsaField,
     jsa_band: JsaField,
@@ -88,9 +100,8 @@ def signal_click_probability(
     """Click probability P_s and detection efficiency D_s = P_s / P_pair."""
     norm_full = jsa_norm(jsa_full)
     collapsed = collapsed_wavefunctions(jsa_band, modes)
-    weights = povm_weights(modes, eta)
-    mode_norms = np.abs(collapsed) ** 2 @ jsa_band.grid_i.weights
-    d_s = float(weights @ mode_norms) / (2.0 * np.pi * norm_full)
+    d_s = detection_efficiency(collapsed, povm_weights(modes, eta),
+                               jsa_band.grid_i, norm_full)
     p_s = pair_probability(kappa, norm_full) * d_s
     return p_s, d_s
 

@@ -11,17 +11,19 @@ from typing import Optional
 import numpy as np
 
 from .herald import (
+    HeraldedState,
     MetricsReport,
     absolute_rate,
     collapsed_wavefunctions,
+    detection_efficiency,
     heralding_efficiency,
     idler_density_matrix,
     practical_rate,
     t_min,
 )
-from .jsa import SourceParams, jsa_norm, pair_probability, sample_jsa
+from .jsa import JsaField, SourceParams, jsa_norm, pair_probability, sample_jsa
 from .numerics import build_grid
-from .povm import DetectorParams, detection_modes, povm_weights
+from .povm import DetectionModeSet, DetectorParams, detection_modes, povm_weights
 from .units import (
     PhysicalSource,
     fiber_mu_coefficients,
@@ -110,8 +112,8 @@ class PipelineResult:
     """Metrics plus the intermediates needed for dumps and diagnostics."""
 
     report: MetricsReport
-    modes: "object"
-    state: "object"
+    modes: DetectionModeSet
+    state: HeraldedState
     norm_full: float
     kappa_eff: float
     n_signal: int
@@ -130,6 +132,41 @@ def auto_mode_count(c: float) -> int:
     return max(DEFAULT_M_MODES, math.ceil(2.0 * c / np.pi) + 10)
 
 
+@dataclass(frozen=True)
+class SourceSamples:
+    """The part of a pipeline evaluation that does not depend on the window T:
+    the joint amplitude on the filter band, its norm over the full support, and
+    the filtered signal marginal that T_min reads."""
+
+    jsa_band: JsaField  # band grid x idler grid
+    norm_full: float
+    marginal: np.ndarray  # sqrt(integral |jsa_band|^2 dw_i) on the band grid
+
+    def __post_init__(self):
+        marginal = np.asarray(self.marginal)
+        marginal.setflags(write=False)
+        object.__setattr__(self, "marginal", marginal)
+
+
+def sample_source(source: SourceParams, B: float, n_s: int, n_i: int) -> SourceSamples:
+    """Sample the joint amplitude for a filter band B on n_s x n_i grids.
+
+    The full-support field is reduced to its norm before the band is sampled,
+    so only the band field is kept.
+    """
+    # the full-support grids must cover at least the filter band plus the
+    # pump envelope, or the norm denominator can undercount band content
+    band_floor = 0.5 * B + 2.0 * source.sigma
+    w_s = max(support_half_width(source.sigma, source.mu_s), band_floor)
+    w_i = max(support_half_width(source.sigma, source.mu_i), band_floor)
+    grid_s_full = build_grid(-w_s, w_s, n_s)
+    grid_i = build_grid(-w_i, w_i, n_i)
+    norm_full = jsa_norm(sample_jsa(source, grid_s_full, grid_i))
+    jsa_band = sample_jsa(source, build_grid(-0.5 * B, 0.5 * B, n_s), grid_i)
+    marginal = np.sqrt(np.abs(jsa_band.values) ** 2 @ grid_i.weights)
+    return SourceSamples(jsa_band=jsa_band, norm_full=norm_full, marginal=marginal)
+
+
 def evaluate_pipeline(
     source: SourceParams,
     detector: DetectorParams,
@@ -138,8 +175,17 @@ def evaluate_pipeline(
     m_modes: Optional[int] = None,
     pair_probability_target: Optional[float] = None,
     external_efficiency: Optional[float] = None,
+    *,
+    source_samples: Optional[dict[tuple, SourceSamples]] = None,
 ) -> PipelineResult:
-    """Run the full chain grids -> JSA -> modes -> collapse -> rho -> metrics."""
+    """Run the full chain grids -> modes -> JSA -> collapse -> rho -> metrics.
+
+    Only the detection modes, and the stages after them, depend on the window
+    T.  The source stage (``sample_source``) depends on the source, B and the
+    grid sizes; ``source_samples``, when given, holds its results keyed by
+    (source, B, n_s, n_i) and gains an entry on each miss, so evaluations that
+    share a source and a grid level sample the joint amplitude once.
+    """
     m = m_modes if m_modes is not None else auto_mode_count(detector.c)
     n_s = max(n_signal, 4 * m)
 
@@ -148,21 +194,16 @@ def evaluate_pipeline(
     except Exception as exc:  # noqa: BLE001 - tagged and re-raised
         raise StageError("detection-modes", exc) from exc
 
-    try:
-        # the full-support grids must cover at least the filter band plus the
-        # pump envelope, or the norm denominator can undercount band content
-        band_floor = 0.5 * detector.B + 2.0 * source.sigma
-        w_s = max(support_half_width(source.sigma, source.mu_s), band_floor)
-        w_i = max(support_half_width(source.sigma, source.mu_i), band_floor)
-        grid_s_full = build_grid(-w_s, w_s, n_s)
-        grid_i = build_grid(-w_i, w_i, n_idler)
-        jsa_full = sample_jsa(source, grid_s_full, grid_i)
-        jsa_band = sample_jsa(source, modes.grid_s, grid_i)
-        norm_full = jsa_norm(jsa_full)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("jsa", exc) from exc
+    source_samples = {} if source_samples is None else source_samples
+    key = (source, detector.B, n_s, n_idler)
+    if key not in source_samples:
+        try:
+            source_samples[key] = sample_source(source, detector.B, n_s, n_idler)
+        except Exception as exc:
+            raise StageError("jsa", exc) from exc
+    samples = source_samples[key]
+    jsa_band, norm_full = samples.jsa_band, samples.norm_full
+    grid_i = jsa_band.grid_i
 
     try:
         if pair_probability_target is not None:
@@ -174,8 +215,7 @@ def evaluate_pipeline(
 
         collapsed = collapsed_wavefunctions(jsa_band, modes)
         weights = povm_weights(modes, detector.eta)
-        mode_norms = np.abs(collapsed) ** 2 @ grid_i.weights
-        d_s = float(weights @ mode_norms) / (2.0 * np.pi * norm_full)
+        d_s = detection_efficiency(collapsed, weights, grid_i, norm_full)
         p_s = p_pair * d_s
     except Exception as exc:
         raise StageError("collapse", exc) from exc
@@ -187,8 +227,7 @@ def evaluate_pipeline(
         raise StageError("density-matrix", exc) from exc
 
     try:
-        marginal = np.sqrt(np.abs(jsa_band.values) ** 2 @ grid_i.weights)
-        tmin = t_min(detector, source, (modes.grid_s, marginal),
+        tmin = t_min(detector, source, (jsa_band.grid_s, samples.marginal),
                      (grid_i, state.eigenmodes[:, 0]))
         r_abs = absolute_rate(d_s, tmin)
         practical = None
@@ -204,16 +243,23 @@ def evaluate_pipeline(
                           n_signal=n_s, n_idler=n_idler)
 
 
-def run_scenario(s: Scenario, refine: bool = True) -> PipelineResult:
+def run_scenario(
+    s: Scenario,
+    refine: bool = True,
+    *,
+    source_samples: Optional[dict[tuple, SourceSamples]] = None,
+) -> PipelineResult:
     """Evaluate a scenario; grid sizes are doubled automatically until the key
-    metrics (H, D_s) are stable under a further doubling."""
+    metrics (H, D_s) are stable under a further doubling.  ``source_samples``
+    is passed on to ``evaluate_pipeline``."""
     n_s, n_i = s.n_signal, s.n_idler
 
     def run(ns, ni):
         return evaluate_pipeline(
             s.source, s.detector, n_signal=ns, n_idler=ni, m_modes=s.m_modes,
             pair_probability_target=s.pair_probability,
-            external_efficiency=s.external_efficiency)
+            external_efficiency=s.external_efficiency,
+            source_samples=source_samples)
 
     result = run(n_s, n_i)
     if not refine:
@@ -229,14 +275,20 @@ def run_scenario(s: Scenario, refine: bool = True) -> PipelineResult:
 
 
 def run_sweep(s: Scenario, refine: bool = True) -> list[tuple[float, float, MetricsReport]]:
-    """Evaluate the scenario at each sweep point; rows ascend in T."""
+    """Evaluate the scenario at each sweep point; rows ascend in T.
+
+    Only the detection modes depend on T, so the source is sampled once per
+    grid level for the whole sweep: the samples are shared between the points
+    for the length of this call and dropped when it returns.
+    """
     if s.sweep is None:
         raise ConfigError("scenario has no sweep definition")
+    source_samples: dict[tuple, SourceSamples] = {}
     rows = []
     for t_value in s.sweep.values():
         detector = replace(s.detector, T=float(t_value))
         point = replace(s, detector=detector, sweep=None)
-        result = run_scenario(point, refine=refine)
+        result = run_scenario(point, refine=refine, source_samples=source_samples)
         rows.append((float(t_value), detector.c, result.report))
     return rows
 

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from heraldsim import cli
-from heraldsim.scenarios import StageError
+from heraldsim import cli, scenarios
+from heraldsim.scenarios import StageError, preset, run_scenario, run_sweep
 
 FIG3_CFG = """\
 name = fig3-custom
@@ -54,6 +54,36 @@ class TestRunCommand:
         monkeypatch.setattr(cli, "run_scenario", boom)
         assert cli.main(["run", str(fig3_config)]) == 2
         assert "density-matrix" in capsys.readouterr().err
+
+    @pytest.fixture
+    def failing_jsa(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise FloatingPointError("synthetic jsa failure")
+
+        monkeypatch.setattr(scenarios, "sample_jsa", boom)
+
+    def test_jsa_failure_is_tagged(self, failing_jsa):
+        with pytest.raises(StageError) as info:
+            run_scenario(preset("fig3"))
+        assert info.value.stage == "jsa"
+        with pytest.raises(StageError) as info:
+            run_sweep(preset("fig4"))
+        assert info.value.stage == "jsa"
+
+    def test_jsa_failure_exit_code(self, failing_jsa, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(FIG3_CFG + "sweep = T 0.2 0.6 3\n")
+        assert cli.main(["sweep", str(cfg)]) == 2
+        assert "numerical failure in jsa" in capsys.readouterr().err
+
+    def test_detection_mode_failure_is_tagged(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise FloatingPointError("synthetic eigensolver failure")
+
+        monkeypatch.setattr(scenarios, "detection_modes", boom)
+        with pytest.raises(StageError) as info:
+            run_scenario(preset("fig3"))
+        assert info.value.stage == "detection-modes"
 
     def test_phase_and_grid_overrides(self, fig3_config, tmp_path):
         out = tmp_path / "out.csv"

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from heraldsim import scenarios
 from heraldsim.scenarios import (
     ConfigError,
     Scenario,
@@ -153,6 +154,44 @@ class TestRunScenario:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset("fig9")
+
+
+def _point_reports(s):
+    """Reports of independent run_scenario calls at each of the sweep's T."""
+    return [run_scenario(replace(s, detector=replace(s.detector, T=float(t)),
+                                 sweep=None)).report
+            for t in s.sweep.values()]
+
+
+class TestSweepReuse:
+    """A sweep shares the source samples between its points; its rows must be
+    bit-identical to evaluating each point on its own."""
+
+    @pytest.mark.parametrize("s", [
+        replace(preset("fig4"), sweep=SweepSpec("T", 0.1, 4.0, 5)),
+        # M runs from 12 to 30 with c, so n_s = max(32, 4M) differs per point
+        replace(preset("fig3"), n_signal=32, sweep=SweepSpec("T", 0.1, 20.0, 5)),
+        replace(preset("fig4"), sweep=SweepSpec("T", 0.1, 4.0, 3),
+                source=replace(preset("fig4").source, include_group_delay_phase=True)),
+    ], ids=["fig4", "n_s-varies", "group-delay-phase"])
+    def test_sweep_equals_points(self, s):
+        rows = run_sweep(s)
+        assert [row[0] for row in rows] == [float(t) for t in s.sweep.values()]
+        assert [row[2] for row in rows] == _point_reports(s)
+
+    def test_source_sampled_once_per_grid_level(self, monkeypatch):
+        levels = []
+        real = scenarios.sample_jsa
+
+        def counting(p, grid_s, grid_i):
+            levels.append((grid_s.n, grid_i.n))
+            return real(p, grid_s, grid_i)
+
+        monkeypatch.setattr(scenarios, "sample_jsa", counting)
+        run_sweep(replace(preset("fig4"), sweep=SweepSpec("T", 0.1, 4.0, 5)),
+                  refine=True)
+        # one full-support and one band field per (n_s, n_i) level
+        assert len(levels) == 2 * len(set(levels)) == 4
 
 
 class TestScenarioValidation:
