@@ -36,7 +36,6 @@ from .povm import (
     DetectionModeSet,
     DetectorParams,
     detection_modes,
-    fundamental_mode_profile,
     povm_weights,
 )
 from .scenarios import (

@@ -1,17 +1,34 @@
 import numpy as np
 import pytest
 
+from heraldsim import povm, scenarios
 from heraldsim.numerics import build_grid
 from heraldsim.povm import (
+    DetectionModeSet,
     DetectorParams,
     detection_modes,
-    fundamental_mode_profile,
     povm_weights,
 )
+from heraldsim.scenarios import evaluate_pipeline, preset
 
 
 def modes_for_c(c, n_grid=256, m_modes=12, B=2 * np.pi):
     return detection_modes(DetectorParams(B=B, T=4 * c / B), n_grid, m_modes)
+
+
+def dense_detection_modes(d, n_grid, m_modes):
+    """Reference solve of the full n x n weighted kernel, blind to parity."""
+    grid = build_grid(-0.5 * d.B, 0.5 * d.B, n_grid)
+    dw = grid.nodes[:, None] - grid.nodes[None, :]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        k = np.sin(0.5 * d.T * dw) / (np.pi * dw)
+    np.fill_diagonal(k, d.T / (2 * np.pi))
+    sw = np.sqrt(grid.weights)
+    vals, vecs = np.linalg.eigh(sw[:, None] * k * sw[None, :])
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    phi = (vecs[:, :m_modes] / sw[:, None]).T * np.sqrt(2 * np.pi)
+    return DetectionModeSet(grid_s=grid, modes=phi, chi=vals[:m_modes],
+                            chi_all=vals, c=d.c)
 
 
 class TestDetectorParams:
@@ -98,7 +115,7 @@ class TestDetectionModes:
 
     def test_fundamental_mode_no_sign_change(self):
         m = modes_for_c(np.pi / 4)
-        phi0 = fundamental_mode_profile(m)
+        phi0 = m.modes[0]
         assert np.all(phi0 > 0)
 
     def test_sign_convention(self):
@@ -119,10 +136,67 @@ class TestDetectionModes:
             detection_modes(d, 16, 0)
 
 
+class TestParityBlocksAgainstDenseReference:
+    """The even/odd block solve must reproduce the dense eigensolve of the
+    whole weighted kernel, on even grids and on odd grids with a centre node."""
+
+    @pytest.mark.parametrize("n_grid, c, m_modes", [
+        (129, 0.01, 4), (256, 0.35, 12), (361, 7.0, 20), (129, 20.0, 24),
+        (256, 20.0, 32), (360, 40 * np.pi, 90),
+    ])
+    def test_matches_dense_eigensolve(self, n_grid, c, m_modes):
+        d = DetectorParams(B=2 * np.pi, T=4 * c / (2 * np.pi))
+        m = detection_modes(d, n_grid, m_modes)
+        ref = dense_detection_modes(d, n_grid, m_modes)
+        assert m.modes.shape == (m_modes, n_grid)
+        assert np.max(np.abs(m.chi_all - ref.chi_all)) < 1e-12
+        assert np.array_equal(m.chi, m.chi_all[:m_modes])
+        # modes inside a near-degenerate chi ~ 1 cluster are not unique, so
+        # compare the retained operator sum_m chi_m phi_m phi_m^T.  It is
+        # compared in the sqrt(w)-weighted basis that is diagonalized: noise
+        # eigenvalues of order 1e-17 carry modes scaled by 1/sqrt(w), which
+        # is large at the band edges
+        sw = np.sqrt(m.grid_s.weights)
+
+        def operator(ms):
+            v = ms.modes * sw
+            return (v.T * ms.chi) @ v
+
+        assert np.max(np.abs(operator(m) - operator(ref))) < 1e-12
+        # every retained mode is exactly even or exactly odd in frequency
+        for phi in m.modes:
+            scale = np.max(np.abs(phi))
+            parity = min(np.max(np.abs(phi[::-1] - phi)), np.max(np.abs(phi[::-1] + phi)))
+            assert parity <= 1e-12 * scale
+
+    def test_two_half_size_blocks(self, monkeypatch):
+        orders = []
+        real = povm.hermitian_eigen
+
+        def recording(a, *args, **kwargs):
+            orders.append(len(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(povm, "hermitian_eigen", recording)
+        detection_modes(DetectorParams(B=2 * np.pi, T=0.5), 512, 12)
+        assert orders == [256, 256]
+
+    def test_odd_grid_pipeline_matches_dense_modes(self, monkeypatch):
+        # the default grids are always even; an odd --grid-signal reaches the
+        # centre-node path of the even block
+        s = preset("fig3")
+        result = evaluate_pipeline(s.source, s.detector, n_signal=129)
+        monkeypatch.setattr(scenarios, "detection_modes", dense_detection_modes)
+        dense = evaluate_pipeline(s.source, s.detector, n_signal=129)
+        assert result.n_signal == dense.n_signal == 129
+        assert abs(result.report.h - dense.report.h) < 1e-12
+        assert abs(result.report.d_s - dense.report.d_s) < 1e-12
+
+
 class TestFlatness:
     def flatness_ratio(self, c):
         m = modes_for_c(c, n_grid=384)
-        phi0 = np.abs(fundamental_mode_profile(m))
+        phi0 = np.abs(m.modes[0])
         central = np.abs(m.grid_s.nodes) <= 0.8 * (m.grid_s.hi - m.grid_s.lo) / 2
         return float(np.max(phi0[central]) / np.min(phi0[central]))
 
