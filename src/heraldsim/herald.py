@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .jsa import JsaField, jsa_norm, pair_probability
-from .numerics import FrequencyGrid, rms_time_width
+from .numerics import FrequencyGrid, float_or_complex, rms_time_width
 from .povm import DetectionModeSet, DetectorParams, povm_weights
 from .jsa import SourceParams
 
@@ -117,8 +117,10 @@ def idler_density_matrix(
     normalized to unit trace.  With a_m = sqrt(eta_m / trace) Phi_m and
     b_m = a_m sqrt(w_i / 2pi), the quadrature-weighted rho equals B^T B^*, so
     the thin SVD B^T = U S V^* gives its eigenvalues S^2 and eigenvectors U.
+    Real amplitudes stay real.  Each eigenmode is rotated so that its first
+    node above 1e-8 of its largest magnitude is real and positive.
     """
-    collapsed = np.asarray(collapsed, dtype=complex)
+    collapsed = float_or_complex(collapsed)
     eta_weights = np.asarray(eta_weights, dtype=float)
     if collapsed.ndim != 2 or collapsed.shape[0] != eta_weights.size:
         raise ValueError("collapsed amplitudes and weights are inconsistent")
@@ -139,6 +141,12 @@ def idler_density_matrix(
                             full_matrices=False)
     lam = s**2 / np.sum(s**2)
     eigenmodes = (u / sw[:, None]) * np.sqrt(2.0 * np.pi)
+    # the sign rule of povm.detection_modes, as a phase: the first node of each
+    # column above 1e-8 of its largest magnitude is made real and positive
+    mags = np.abs(eigenmodes)
+    first = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
+    ref = eigenmodes[first, np.arange(first.size)]
+    eigenmodes *= ref.conj() / np.abs(ref)
     return HeraldedState(grid_i=grid_i, amplitudes=amplitudes, lam=lam,
                          eigenmodes=eigenmodes)
 

@@ -2,7 +2,8 @@
 
 The model is a Gaussian pump envelope in the sum frequency times a sinc
 phase-matching factor, with an optional group-delay phase.  Frequencies are
-angular detunings from the perfect phase-matching point.
+angular detunings from the perfect phase-matching point.  Without the phase
+the amplitude is real and is kept as float64; with it, as complex128.
 """
 from __future__ import annotations
 
@@ -11,7 +12,12 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import FrequencyGrid, sinc
+from .numerics import FrequencyGrid, float_or_complex, sinc
+
+# exp(x) rounds to exactly 0 for x <= -1075 ln 2 (about -745.13); pump
+# exponents below this floor are written as 0 without calling exp, whose SIMD
+# loop leaves its fast path on underflowing arguments
+EXP_FLOOR = -746.0
 
 
 @dataclass(frozen=True)
@@ -39,14 +45,15 @@ class SourceParams:
 
 @dataclass(frozen=True)
 class JsaField:
-    """Complex joint amplitude sampled on the tensor grid grid_s x grid_i."""
+    """Joint amplitude sampled on the tensor grid grid_s x grid_i: float64
+    when the values are real, complex128 otherwise."""
 
     grid_s: FrequencyGrid
     grid_i: FrequencyGrid
     values: np.ndarray  # shape (n_s, n_i)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
+        values = float_or_complex(self.values)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if values.shape != (self.grid_s.n, self.grid_i.n):
@@ -60,14 +67,22 @@ class JsaField:
 
 def jsa_amplitude(p: SourceParams, w_s, w_i):
     """Joint amplitude at (w_s, w_i): Gaussian pump factor times the sinc
-    phase-matching factor, with the optional group-delay phase."""
+    phase-matching factor, with the optional group-delay phase.
+
+    Real (float64) unless the source includes the group-delay phase.  Cells
+    where the pump factor underflows to 0 skip the sinc.
+    """
     w_s = np.asarray(w_s, dtype=float)
     w_i = np.asarray(w_i, dtype=float)
     half_delay = 0.5 * (p.mu_s * w_s + p.mu_i * w_i)
-    amp = np.exp(-((w_s + w_i) ** 2) / (2.0 * p.sigma**2)) * sinc(half_delay)
+    exponent = -((w_s + w_i) ** 2) / (2.0 * p.sigma**2)
+    live = ~(exponent < EXP_FLOOR)  # a NaN stays live and reaches the output
+    amp = np.zeros(exponent.shape)
+    np.exp(exponent, out=amp, where=live)
+    amp *= sinc(half_delay, where=live)
     if p.include_group_delay_phase:
         return amp * np.exp(1j * half_delay)
-    return amp + 0j
+    return amp[()]
 
 
 def sample_jsa(p: SourceParams, grid_s: FrequencyGrid, grid_i: FrequencyGrid) -> JsaField:
@@ -83,8 +98,8 @@ def separable_jsa(
     grid_i: FrequencyGrid,
 ) -> JsaField:
     """Rank-1 joint amplitude f(w_s) * g(w_i); used for factorability limits."""
-    fs = np.asarray(f_s(grid_s.nodes), dtype=complex)
-    gi = np.asarray(g_i(grid_i.nodes), dtype=complex)
+    fs = np.asarray(f_s(grid_s.nodes))
+    gi = np.asarray(g_i(grid_i.nodes))
     return JsaField(grid_s=grid_s, grid_i=grid_i, values=np.outer(fs, gi))
 
 

@@ -48,6 +48,13 @@ class FrequencyGrid:
         return self.weights @ np.asarray(samples)
 
 
+def float_or_complex(a) -> np.ndarray:
+    """``a`` as a float64 array, or as complex128 when it holds complex values;
+    no copy when it already is one of the two."""
+    a = np.asarray(a)
+    return a.astype(np.result_type(a, float), copy=False)
+
+
 @lru_cache(maxsize=64)
 def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
@@ -97,22 +104,40 @@ def hermitian_eigen(a: np.ndarray, tol: float = 1e-10) -> EigenDecomposition:
     Hermiticity by more than ``tol`` (relative to the largest entry) are
     rejected.
     """
-    a = np.asarray(a)
+    a = float_or_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    if np.max(np.abs(a - a.conj().T)) > tol * scale:
+    # two order^2 temporaries for a real input, whose conjugate transpose is a
+    # view: the magnitudes, then the skew part, which becomes the symmetrized
+    # matrix; the magnitudes are freed before the solve, which can reuse them
+    a_h = a.conj().T
+    mags = np.abs(a)
+    scale = max(1.0, float(np.max(mags))) if a.size else 1.0
+    sym = np.subtract(a, a_h)
+    if np.max(np.abs(sym, out=mags)) > tol * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
-    sym = 0.5 * (a + a.conj().T)
+    del mags
+    np.add(a, a_h, out=sym)
+    sym *= 0.5
     vals, vecs = np.linalg.eigh(sym)
     # stable descending order so degenerate pairs keep input ordering
     order = np.argsort(-vals, kind="stable")
     return EigenDecomposition(values=vals[order], vectors=vecs[:, order])
 
 
-def sinc(x):
-    """sin(x)/x with sinc(0) = 1, unnormalized convention (radian argument)."""
-    return np.sinc(np.asarray(x, dtype=float) / np.pi)
+def sinc(x, where=True):
+    """sin(x)/x with sinc(0) = 1, unnormalized convention (radian argument).
+
+    Cells outside ``where`` (a boolean mask broadcast against x, as for a
+    ufunc) are 0 and cost no sin.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    np.copyto(out, 1.0, where=where)
+    nonzero = np.not_equal(x, 0.0, where=where, out=np.zeros(x.shape, dtype=bool))
+    np.sin(x, out=out, where=nonzero)
+    np.divide(out, x, out=out, where=nonzero)
+    return out[()]
 
 
 def rms_time_width(grid: FrequencyGrid, amplitude: np.ndarray) -> float:
@@ -123,7 +148,7 @@ def rms_time_width(grid: FrequencyGrid, amplitude: np.ndarray) -> float:
     Im(f* df/domega) cross term; derivatives use central finite differences,
     so no FFT or padding is involved.
     """
-    f = np.asarray(amplitude, dtype=complex)
+    f = float_or_complex(amplitude)
     if f.shape != grid.nodes.shape:
         raise ValueError("amplitude samples must match the grid")
     norm = float(np.real(grid.integrate(np.abs(f) ** 2)))

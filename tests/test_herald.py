@@ -14,7 +14,7 @@ from heraldsim.herald import (
 from heraldsim.jsa import SourceParams, sample_jsa, separable_jsa
 from heraldsim.numerics import build_grid
 from heraldsim.povm import DetectorParams, detection_modes, povm_weights
-from heraldsim.scenarios import evaluate_pipeline
+from heraldsim.scenarios import evaluate_pipeline, preset
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +153,42 @@ class TestIdlerDensityMatrix:
         with pytest.raises(ValueError, match="non-negative"):
             idler_density_matrix(np.ones((2, idler_grid.n)), np.array([1.0, -1e-3]),
                                  idler_grid)
+
+
+def assert_phase_convention(eigenmodes):
+    """The first node of each column above 1e-8 of its largest magnitude is
+    real and positive."""
+    for col in eigenmodes.T:
+        mags = np.abs(col)
+        ref = col[np.flatnonzero(mags > 1e-8 * mags.max())[0]]
+        assert ref.real > 0.0
+        assert abs(ref.imag) <= 1e-14 * abs(ref)
+
+
+class TestEigenmodePhase:
+    @pytest.mark.parametrize("name", ["fig1", "fig3", "fig5-180ps"])
+    def test_every_column_follows_convention(self, name):
+        s = preset(name)
+        state = evaluate_pipeline(s.source, s.detector).state
+        assert state.eigenmodes.dtype == np.float64
+        assert_phase_convention(state.eigenmodes)
+
+    @pytest.mark.parametrize("complex_rows", [False, True])
+    def test_global_phase_of_amplitudes_leaves_modes_unchanged(self, complex_rows):
+        rng = np.random.default_rng(7)
+        grid = build_grid(-8.0, 8.0, 128)
+        collapsed = rng.normal(size=(6, grid.n))
+        if complex_rows:
+            collapsed = collapsed + 1j * rng.normal(size=(6, grid.n))
+        eta = rng.permutation(np.logspace(0, -3, 6))  # well-separated spectrum
+        base = idler_density_matrix(collapsed, eta, grid)
+        assert_phase_convention(base.eigenmodes)
+        scale = np.max(np.abs(base.eigenmodes))
+        for factor in (-1.0, np.exp(0.7j), np.exp(-2.9j)):
+            other = idler_density_matrix(factor * collapsed, eta, grid)
+            assert_phase_convention(other.eigenmodes)
+            assert np.max(np.abs(other.eigenmodes - base.eigenmodes)) <= 1e-12 * scale
+            assert np.max(np.abs(other.lam - base.lam)) <= 1e-14
 
 
 def dense_reference_state(collapsed, eta, grid):

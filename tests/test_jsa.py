@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad
 
 from heraldsim.jsa import (
+    JsaField,
     SourceParams,
     jsa_amplitude,
     jsa_norm,
@@ -12,6 +15,7 @@ from heraldsim.jsa import (
     separable_jsa,
 )
 from heraldsim.numerics import build_grid
+from heraldsim.scenarios import preset, support_half_width
 
 params = st.builds(
     SourceParams,
@@ -95,6 +99,49 @@ class TestSampleJsa:
         field = sample_jsa(p, gs, gi)
         sv = np.linalg.svd(field.values, compute_uv=False)
         assert sv[1] / sv[0] > 0.1  # visibly correlated, far from rank one
+
+
+class TestRealField:
+    def test_dtype_follows_phase_flag(self):
+        g = build_grid(-4.0, 4.0, 16)
+        p = SourceParams(sigma=1.0, mu_s=2.0, mu_i=-1.0)
+        off = sample_jsa(p, g, g)
+        on = sample_jsa(replace(p, include_group_delay_phase=True), g, g)
+        assert off.values.dtype == np.float64
+        assert on.values.dtype == np.complex128
+        assert np.allclose(np.abs(on.values), np.abs(off.values), rtol=1e-15, atol=0.0)
+
+    def test_masked_pump_factor_equals_exp_bitwise(self):
+        # the fig5-180ps full-support grids at the finer refinement level;
+        # mu = 0 makes the sinc factor exactly 1, leaving the pump factor
+        s = preset("fig5-180ps")
+        p = s.source
+        floor = 0.5 * s.detector.B + 2.0 * p.sigma
+        w_s = max(support_half_width(p.sigma, p.mu_s), floor)
+        w_i = max(support_half_width(p.sigma, p.mu_i), floor)
+        ws = build_grid(-w_s, w_s, 512).nodes[:, None]
+        wi = build_grid(-w_i, w_i, 768).nodes[None, :]
+        pump = jsa_amplitude(replace(p, mu_s=0.0, mu_i=0.0), ws, wi)
+        want = np.exp(-((ws + wi) ** 2) / (2.0 * p.sigma**2))
+        assert np.mean(want == 0.0) > 0.3  # the floor is crossed on this grid
+        assert pump.dtype == want.dtype
+        assert np.array_equal(pump.view(np.int64), want.view(np.int64))
+
+    def test_nan_input_is_not_masked(self):
+        p = SourceParams(sigma=1.0, mu_s=2.0, mu_i=-1.0)
+        got = jsa_amplitude(p, np.array([np.nan, 1e3, 0.0]), 0.0)
+        assert np.isnan(got[0]) and got[1] == 0.0 and got[2] == 1.0
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, dtype, bad):
+        g = build_grid(-1.0, 1.0, 4)
+        cells = [bad, complex(1.0, bad)] if dtype is complex else [bad]
+        for cell in cells:
+            values = np.ones((4, 4), dtype=dtype)
+            values[1, 2] = cell
+            with pytest.raises(ValueError, match="non-finite"):
+                JsaField(grid_s=g, grid_i=g, values=values)
 
 
 class TestSeparableJsa:

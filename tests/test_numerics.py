@@ -89,6 +89,17 @@ class TestHermitianEigen:
         with pytest.raises(ValueError):
             hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_tolerance_relative_to_largest_entry(self, dtype):
+        # skew part 4e-10 against a largest entry of 10: inside 1e-10 * 10
+        a = np.array([[10.0, 1.0], [1.0 + 4e-10, -2.0]], dtype=dtype)
+        eig = hermitian_eigen(a)
+        assert np.allclose(eig.vectors @ np.diag(eig.values) @ eig.vectors.conj().T,
+                           0.5 * (a + a.conj().T), atol=1e-12)
+        a[1, 0] += 8e-10
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eigen(a)
+
 
 class TestSinc:
     def test_values(self):
@@ -99,6 +110,26 @@ class TestSinc:
     def test_vectorized(self):
         x = np.array([0.0, np.pi, 2 * np.pi])
         assert np.allclose(sinc(x), [1.0, 0.0, 0.0], atol=1e-15)
+
+    def test_matches_normalized_numpy_sinc(self):
+        k = np.arange(1, 319)
+        x = np.concatenate([[0.0, 1e-300, -1e-300, 5e-324], np.pi * k, -np.pi * k,
+                            np.linspace(-1e3, 1e3, 20001)])
+        got = sinc(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert np.max(np.abs(got - np.sinc(x / np.pi))) <= 1e-15
+        grid = sinc(x.reshape(-1, 1) * np.array([1.0, -0.5]))
+        assert grid.shape == (x.size, 2)
+        assert np.array_equal(grid[:, 0], got)
+
+    def test_where_zeroes_masked_cells(self):
+        x = np.array([[0.0, 1.0, 2.0], [0.0, -3.0, 4.0]])
+        where = np.array([[True, False, True], [False, True, False]])
+        got = sinc(x, where=where)
+        assert np.array_equal(got[where], sinc(x)[where])
+        assert np.all(got[~where] == 0.0)
+        assert np.array_equal(sinc(x, where=np.array([True, False, True])),
+                              sinc(x) * [1.0, 0.0, 1.0])
 
 
 class TestRmsTimeWidth:

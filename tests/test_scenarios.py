@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from heraldsim import scenarios
+from heraldsim.jsa import JsaField
 from heraldsim.scenarios import (
     ConfigError,
     Scenario,
@@ -192,6 +193,30 @@ class TestSweepReuse:
                   refine=True)
         # one full-support and one band field per (n_s, n_i) level
         assert len(levels) == 2 * len(set(levels)) == 4
+
+
+class TestRealField:
+    @pytest.mark.parametrize("name", ["fig1", "fig5-180ps"])
+    def test_complex_cast_field_gives_same_metrics(self, name, monkeypatch):
+        # oracle: the real-arithmetic pipeline against the same field held
+        # as complex128, which takes the complex collapse and SVD
+        s = preset(name)
+        real = scenarios.evaluate_pipeline(s.source, s.detector)
+        sample = scenarios.sample_jsa
+
+        def complex_field(p, grid_s, grid_i):
+            field = sample(p, grid_s, grid_i)
+            assert field.values.dtype == np.float64
+            return JsaField(grid_s=grid_s, grid_i=grid_i,
+                            values=field.values.astype(complex))
+
+        monkeypatch.setattr(scenarios, "sample_jsa", complex_field)
+        cast = scenarios.evaluate_pipeline(s.source, s.detector)
+        assert real.state.eigenmodes.dtype == np.float64
+        assert cast.state.eigenmodes.dtype == np.complex128
+        assert cast.report.h == pytest.approx(real.report.h, rel=0, abs=1e-12)
+        assert cast.report.d_s == pytest.approx(real.report.d_s, rel=0, abs=1e-12)
+        assert cast.report.t_min == pytest.approx(real.report.t_min, rel=1e-12, abs=0)
 
 
 class TestScenarioValidation:

@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import heraldsim
+
 from heraldsim.units import (
+    SPEED_OF_LIGHT,
     PhysicalSource,
     center_detunings,
     fiber_mu_coefficients,
@@ -93,3 +101,19 @@ class TestPhysicalSourceGuards:
     def test_finite_dispersion(self):
         with pytest.raises(ValueError):
             fiber(beta2=np.nan)
+
+
+class TestConstants:
+    def test_speed_of_light_is_exact_si_value(self):
+        assert SPEED_OF_LIGHT == 299_792_458.0
+        scipy_constants = pytest.importorskip("scipy.constants")
+        assert SPEED_OF_LIGHT == scipy_constants.c
+
+    def test_import_leaves_scipy_unloaded(self):
+        src = Path(heraldsim.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("import sys, heraldsim, heraldsim.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
