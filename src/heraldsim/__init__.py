@@ -12,7 +12,6 @@ from .herald import (
     heralding_efficiency,
     idler_density_matrix,
     practical_rate,
-    signal_click_probability,
     t_min,
 )
 from .jsa import (

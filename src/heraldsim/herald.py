@@ -17,10 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .jsa import JsaField, jsa_norm, pair_probability
+from .jsa import JsaField, SourceParams
 from .numerics import FrequencyGrid, float_or_complex, rms_time_width
-from .povm import DetectionModeSet, DetectorParams, povm_weights
-from .jsa import SourceParams
+from .povm import DetectionModeSet, DetectorParams
 
 # uniform pulse-length convention: tau = 4*sqrt(2)*sigma_t, which maps a
 # Gaussian pump of bandwidth sigma to the conventional pump length 4/sigma
@@ -88,22 +87,6 @@ def detection_efficiency(
     collapsed amplitudes over the full joint-amplitude norm."""
     mode_norms = np.abs(collapsed) ** 2 @ grid_i.weights
     return float(eta_weights @ mode_norms) / (2.0 * np.pi * norm_full)
-
-
-def signal_click_probability(
-    jsa_full: JsaField,
-    jsa_band: JsaField,
-    modes: DetectionModeSet,
-    eta: float,
-    kappa: float,
-) -> tuple[float, float]:
-    """Click probability P_s and detection efficiency D_s = P_s / P_pair."""
-    norm_full = jsa_norm(jsa_full)
-    collapsed = collapsed_wavefunctions(jsa_band, modes)
-    d_s = detection_efficiency(collapsed, povm_weights(modes, eta),
-                               jsa_band.grid_i, norm_full)
-    p_s = pair_probability(kappa, norm_full) * d_s
-    return p_s, d_s
 
 
 def idler_density_matrix(

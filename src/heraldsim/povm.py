@@ -2,19 +2,23 @@
 
 The mode functions and their efficiencies are the eigenpairs of the
 time-frequency limiting operator on the filter band: kernel
-K(w, w') = sin(T (w - w') / 2) / (pi (w - w')).  Discretizing that kernel on a
-Gauss-Legendre grid and symmetrizing with square-root quadrature weights
-recovers the prolate spheroidal modes without any special-function series,
-and stays robust from c << 1 up to c ~ 100.
+K(w, w') = sin(T (w - w') / 2) / (pi (w - w')).  In x = 2w/B it is the
+sinc kernel sin(c (x - x')) / (pi (x - x')) on [-1, 1], c = B T / 4, whose
+eigenfunctions are the prolate spheroidal wave functions psi_n (Slepian &
+Pollak, BSTJ 40, 43 (1961)).
 
-The band grid is mirror-symmetric about w = 0 and K depends only on the even
-function w - w', so every mode is even or odd in w (Slepian & Pollak, BSTJ 40,
-43 (1961)).  The weighted kernel is therefore solved as two half-size blocks
-on the positive nodes x_j, with entries sqrt(w_j) [K(x_j - x_k) +- K(x_j + x_k)]
-sqrt(w_k), and the block eigenvectors are mirrored back onto the full grid.
+The psi_n are also the eigenfunctions of the prolate differential operator
+-d/dx (1 - x^2) d/dx + c^2 x^2, which commutes with the kernel.  In the
+normalized Legendre basis sqrt(k + 1/2) P_k that operator couples only the
+terms k and k +- 2, so it splits into an even-k and an odd-k symmetric
+tridiagonal matrix whose order depends on c and the number of modes, not on
+the grid.  The kernel eigenvalues follow in closed form from the expansion
+coefficients (Xiao, Rokhlin & Yarvin, Inverse Problems 17, 805 (2001)), and the
+modes are polynomials evaluated on the Gauss-Legendre band grid.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +54,10 @@ class DetectionModeSet:
     """Top detection modes phi_m on the filter band with eigenvalues chi_m.
 
     Modes are normalized so (1/2pi) integral phi_m phi_n dw = delta_mn.
-    chi holds the retained eigenvalues (descending); chi_all the full
-    grid-resolved spectrum, whose sum is the operator trace 2c/pi.
+    chi holds the retained eigenvalues (descending); chi_all the spectrum of
+    the Legendre expansion, n_grid values whose sum is the operator trace
+    2c/pi.  When the expansion has fewer terms than the grid has nodes, chi_all
+    is padded with zeros, in place of eigenvalues below rounding noise.
     """
 
     grid_s: FrequencyGrid
@@ -71,33 +77,29 @@ class DetectionModeSet:
         return self.chi.size
 
 
-def _limiting_kernel(T: float, dw: np.ndarray) -> np.ndarray:
-    """sin(T dw / 2) / (pi dw) for nonzero frequency differences dw."""
-    return np.sin(0.5 * T * dw) / (np.pi * dw)
-
-
-def _mirror(v: np.ndarray, sign: float, centre: np.ndarray) -> np.ndarray:
-    """Full-grid columns (sign * J v, centre, v) from positive-node columns v,
-    J reversing the node order; the mirrored halves carry 1/sqrt(2), so a unit
-    block eigenvector lifts to a unit vector."""
-    h = np.sqrt(0.5) * v
-    return np.vstack([sign * h[::-1], centre, h])
+def _legendre_terms(c: float, m_modes: int) -> int:
+    """Legendre terms N in each mode expansion, rounded up to even so that each
+    parity block has N / 2; the coefficients of the top m_modes modes have
+    fallen below double precision by then."""
+    n = math.ceil(c + m_modes + 40)
+    return n + n % 2
 
 
 def detection_modes(d: DetectorParams, n_grid: int = 256, m_modes: int = 12) -> DetectionModeSet:
     """Eigenmodes and eigenvalues of the band-limiting/time-windowing operator.
 
-    Returns the top ``m_modes`` eigenpairs on a Gauss-Legendre grid over
-    [-B/2, B/2].  Sign convention: the fundamental mode is positive at the
-    band center, higher modes are positive at their first non-vanishing node.
+    Returns the top ``m_modes`` eigenpairs, the modes sampled on a
+    Gauss-Legendre grid over [-B/2, B/2].  Sign convention: the fundamental
+    mode is positive at the band center, higher modes are positive at their
+    first non-vanishing node.
 
-    The operator commutes with the reflection w -> -w, so it is solved as an
-    even and an odd block of order n_grid // 2 on the positive nodes; an even
-    eigenvector v lifts to (J v, v) / sqrt(2) and an odd one to (-J v, v) /
-    sqrt(2), with J reversing the node order.  For odd n_grid the centre node
-    w = 0 joins the even block, coupled to each positive node with a factor
-    sqrt(2), and odd modes vanish there.  The two spectra are merged in
-    descending order.
+    Each parity block of the prolate operator is solved on N / 2 Legendre
+    coefficients beta; its eigenvalues, ascending, give the modes n = 0, 2, 4,
+    ... (even block) and n = 1, 3, 5, ... (odd block).  With mu the eigenvalue
+    of the finite Fourier transform integral exp(i c x t) psi(t) dt, its value
+    and slope at x = 0 give |mu| = sqrt(2) beta_0 / psi(0) for even modes and
+    c sqrt(2/3) beta_1 / psi'(0) for odd modes, and chi = c mu^2 / 2pi.  The two
+    spectra are merged in descending order.
     """
     if m_modes < 1:
         raise ValueError(f"need at least one mode, got {m_modes}")
@@ -107,45 +109,50 @@ def detection_modes(d: DetectorParams, n_grid: int = 256, m_modes: int = 12) -> 
         raise ValueError(f"need n_grid >= 4*m_modes, got {n_grid} < {4 * m_modes}")
 
     grid = build_grid(-0.5 * d.B, 0.5 * d.B, n_grid)
-    # allocate the returned arrays before the block temporaries: the
-    # temporaries then lie above every live array on the heap, so freeing them
-    # returns the memory instead of leaving holes that raise the peak RSS of
-    # the JSA stage that follows
+    # allocate the returned arrays before the temporaries: the temporaries then
+    # lie above every live array on the heap, so freeing them returns the
+    # memory instead of leaving holes that raise the peak RSS of the JSA stage
+    # that follows
     phi = np.empty((m_modes, n_grid))
-    chi_all = np.empty(n_grid)
-    half = n_grid // 2
-    centred = n_grid % 2  # 1 when the grid has a node at w = 0
-    x = grid.nodes[half + centred:]
-    sw = np.sqrt(grid.weights[half + centred:])
+    chi_all = np.zeros(n_grid)
+    c = d.c
+    n_terms = _legendre_terms(c, m_modes)
+    k = np.arange(n_terms, dtype=float)
+    diag = k * (k + 1) + c**2 * (2 * k * (k + 1) - 1) / ((2 * k + 3) * (2 * k - 1))
+    k2 = k[:-2]
+    upper = c**2 * (k2 + 2) * (k2 + 1) / ((2 * k2 + 3) * np.sqrt((2 * k2 + 1) * (2 * k2 + 5)))
+    scale = np.sqrt(k + 0.5)  # P_k -> normalized P_k
+    half = n_terms // 2  # order of each parity block
+    # P_2j(0) = (-1)^j (2j - 1)!! / (2j)!!  and  P_2j+1'(0) = (2j + 1) P_2j(0)
+    j = np.arange(1, half)
+    p_at_0 = np.concatenate([[1.0], np.cumprod((1 - 2 * j) / (2 * j))])
+    at_0 = (scale[0::2] * p_at_0, scale[1::2] * k[1::2] * p_at_0)
+    mu_factor = (np.sqrt(2.0), c * np.sqrt(2.0 / 3.0))
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        near = _limiting_kernel(d.T, x[:, None] - x[None, :])
-    np.fill_diagonal(near, d.T / (2.0 * np.pi))
-    far = _limiting_kernel(d.T, x[:, None] + x[None, :])
-    even = sw[:, None] * (near + far) * sw[None, :]
-    odd = sw[:, None] * (near - far) * sw[None, :]
-    if centred:
-        w0 = grid.weights[half]
-        coupling = np.sqrt(2.0 * w0) * _limiting_kernel(d.T, x) * sw
-        even = np.block([[np.full((1, 1), w0 * d.T / (2.0 * np.pi)), coupling[None, :]],
-                         [coupling[:, None], even]])
-    eig_even = hermitian_eigen(even)
-    eig_odd = hermitian_eigen(odd)
+    coefs, chis = [], []
+    for parity in (0, 1):
+        # the negated operator, built in place: hermitian_eigen sorts
+        # descending, which lists the prolate eigenvalues ascending
+        block = np.zeros((half, half))
+        block.flat[::half + 1] = -diag[parity::2]
+        block.flat[1::half + 1] = block.flat[half::half + 1] = -upper[parity::2]
+        beta = hermitian_eigen(block).vectors
+        mu = mu_factor[parity] * beta[0] / (at_0[parity] @ beta)
+        coefs.append(beta)
+        chis.append(c * mu**2 / (2.0 * np.pi))
 
-    n_even = eig_even.values.size
-    values = np.concatenate([eig_even.values, eig_odd.values])
+    n_even = chis[0].size
+    values = np.concatenate(chis)
     order = np.argsort(-values, kind="stable")
     top = order[:m_modes]
     is_even = top < n_even
-    ve = eig_even.vectors[:, top[is_even]].real
-    vo = eig_odd.vectors[:, top[~is_even] - n_even].real
-    vectors = np.empty((n_grid, m_modes))
-    vectors[:, is_even] = _mirror(ve[centred:], 1.0, ve[:centred])
-    vectors[:, ~is_even] = _mirror(vo, -1.0, np.zeros((centred, vo.shape[1])))
-
-    # unweight back to function samples; eigenvectors are unit vectors, so the
-    # resulting phi already satisfies integral phi^2 dw = 1 before the 2pi factor
-    np.multiply((vectors / np.sqrt(grid.weights)[:, None]).T, np.sqrt(2.0 * np.pi), out=phi)
+    coef = np.zeros((n_terms, m_modes))
+    coef[0::2, is_even] = coefs[0][:, top[is_even]]
+    coef[1::2, ~is_even] = coefs[1][:, top[~is_even] - n_even]
+    # unit-norm psi on [-1, 1] becomes (1/2pi) integral phi^2 dw = 1 on the band
+    coef *= scale[:, None] * np.sqrt(4.0 * np.pi / d.B)
+    x = grid.nodes * (2.0 / d.B)
+    np.matmul(np.polynomial.legendre.legvander(x, n_terms - 1), coef, out=phi.T)
 
     center = int(np.argmin(np.abs(grid.nodes)))
     for m in range(phi.shape[0]):
@@ -157,13 +164,14 @@ def detection_modes(d: DetectorParams, n_grid: int = 256, m_modes: int = 12) -> 
         if ref < 0:
             phi[m] = -phi[m]
 
-    np.take(values, order, out=chi_all)
+    n_kept = min(n_terms, n_grid)
+    chi_all[:n_kept] = values[order[:n_kept]]
     return DetectionModeSet(
         grid_s=grid,
         modes=phi,
         chi=chi_all[:m_modes],
         chi_all=chi_all,
-        c=d.c,
+        c=c,
     )
 
 

@@ -5,15 +5,16 @@ from dataclasses import replace
 from heraldsim.herald import (
     absolute_rate,
     collapsed_wavefunctions,
+    detection_efficiency,
     heralding_efficiency,
     idler_density_matrix,
     practical_rate,
-    signal_click_probability,
     t_min,
 )
-from heraldsim.jsa import SourceParams, sample_jsa, separable_jsa
+from heraldsim.jsa import SourceParams, jsa_norm, sample_jsa, separable_jsa
 from heraldsim.numerics import build_grid
 from heraldsim.povm import DetectorParams, detection_modes, povm_weights
+from heraldsim import scenarios
 from heraldsim.scenarios import evaluate_pipeline, preset
 
 
@@ -83,7 +84,8 @@ class TestSignalClickProbability:
         full_grid = build_grid(-8.0, 8.0, 512)
         full = separable_jsa(f, g, full_grid, idler_grid)
         band = separable_jsa(f, g, band_modes.grid_s, idler_grid)
-        p_s, d_s = signal_click_probability(full, band, band_modes, 1.0, kappa=0.1)
+        d_s = detection_efficiency(collapsed_wavefunctions(band, band_modes),
+                                   povm_weights(band_modes, 1.0), idler_grid, jsa_norm(full))
         fs = f(band_modes.grid_s.nodes)
         overlaps = (band_modes.modes * band_modes.grid_s.weights[None, :]) @ fs
         f_norm = full_grid.integrate(np.abs(f(full_grid.nodes)) ** 2)
@@ -95,9 +97,30 @@ class TestSignalClickProbability:
         full_grid = build_grid(-8.0, 8.0, 512)
         full = separable_jsa(gaussian(1.0), gaussian(1.0), full_grid, idler_grid)
         band = separable_jsa(gaussian(1.0), gaussian(1.0), band_modes.grid_s, idler_grid)
-        _, d1 = signal_click_probability(full, band, band_modes, 1.0, kappa=0.1)
-        _, d2 = signal_click_probability(full, band, band_modes, 0.5, kappa=0.1)
+        collapsed = collapsed_wavefunctions(band, band_modes)
+        d1, d2 = (detection_efficiency(collapsed, povm_weights(band_modes, eta), idler_grid,
+                                       jsa_norm(full)) for eta in (1.0, 0.5))
         assert d2 == pytest.approx(0.5 * d1, rel=1e-12)
+
+
+    @pytest.mark.parametrize("name", ["fig1", "fig3", "fig5-180ps"])
+    def test_mode_free_oracle(self, name):
+        # D_s = eta sum_i w_i (W Phi_i)^T K (W Phi_i) / norm_full with K the
+        # limiting kernel on the band nodes: no detection modes, no eigensolve.
+        # It differs from the pipeline by the mode-truncation residual only
+        s = preset(name)
+        result = evaluate_pipeline(s.source, s.detector, s.n_signal, s.n_idler, s.m_modes)
+        samples = scenarios.sample_source(s.source, s.detector.B, result.n_signal,
+                                          result.n_idler)
+        band = samples.jsa_band
+        dw = band.grid_s.nodes[:, None] - band.grid_s.nodes[None, :]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            k = np.sin(0.5 * s.detector.T * dw) / (np.pi * dw)
+        np.fill_diagonal(k, s.detector.T / (2 * np.pi))
+        w_phi = band.grid_s.weights[:, None] * band.values
+        per_idler = np.sum(w_phi.conj() * (k @ w_phi), axis=0).real
+        d_s = s.detector.eta * (per_idler @ band.grid_i.weights) / samples.norm_full
+        assert abs(d_s - result.report.d_s) <= 1e-12
 
 
 class TestIdlerDensityMatrix:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from heraldsim.povm import (
     detection_modes,
     povm_weights,
 )
-from heraldsim.scenarios import evaluate_pipeline, preset
+from heraldsim.scenarios import auto_mode_count, evaluate_pipeline, preset
 
 
 def modes_for_c(c, n_grid=256, m_modes=12, B=2 * np.pi):
@@ -169,7 +171,7 @@ class TestParityBlocksAgainstDenseReference:
             parity = min(np.max(np.abs(phi[::-1] - phi)), np.max(np.abs(phi[::-1] + phi)))
             assert parity <= 1e-12 * scale
 
-    def test_two_half_size_blocks(self, monkeypatch):
+    def test_two_grid_independent_blocks(self, monkeypatch):
         orders = []
         real = povm.hermitian_eigen
 
@@ -178,8 +180,16 @@ class TestParityBlocksAgainstDenseReference:
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(povm, "hermitian_eigen", recording)
-        detection_modes(DetectorParams(B=2 * np.pi, T=0.5), 512, 12)
-        assert orders == [256, 256]
+        d = DetectorParams(B=2 * np.pi, T=0.5)
+        per_grid = []
+        for n_grid in (256, 512, 1024):
+            orders.clear()
+            detection_modes(d, n_grid, 12)
+            assert len(orders) == 2
+            per_grid.append(list(orders))
+        assert per_grid[0] == per_grid[1] == per_grid[2]
+        # N = ceil(c + M + 40) Legendre terms, split between the two parities
+        assert max(per_grid[0]) <= math.ceil(d.c + 12 + 40) // 2 + 1
 
     def test_odd_grid_pipeline_matches_dense_modes(self, monkeypatch):
         # the default grids are always even; an odd --grid-signal reaches the
@@ -191,6 +201,37 @@ class TestParityBlocksAgainstDenseReference:
         assert result.n_signal == dense.n_signal == 129
         assert abs(result.report.h - dense.report.h) < 1e-12
         assert abs(result.report.d_s - dense.report.d_s) < 1e-12
+
+
+class TestLegendreTruncation:
+    """The modes are polynomials of degree < N = povm._legendre_terms(c, M).
+
+    On n >= N Gauss nodes their samples fix their coefficients beta in the
+    orthonormal basis sqrt(k + 1/2) P_k(x), x = 2w/B, and the Gauss rule
+    integrates their products exactly, so the discrete Gram matrix is
+    beta beta^T.  The coefficients are recovered by solving the collocation
+    system, not by projecting with the grid weights: numpy's leggauss
+    weights carry relative errors up to 5e-11 at n = 360, which alone put the
+    weighted Gram matrix of the plain Legendre basis 8e-13 from the identity.
+    """
+
+    @pytest.mark.parametrize("c", [0.01, 0.35, np.pi / 4, 7.0, 20.0, 40 * np.pi])
+    def test_expansion_is_resolved(self, c):
+        d = DetectorParams(B=2 * np.pi, T=4 * c / (2 * np.pi))
+        m_modes = auto_mode_count(c)
+        n_terms = povm._legendre_terms(c, m_modes)
+        n_grid = max(4 * m_modes, n_terms)
+        m = detection_modes(d, n_grid, m_modes)
+        assert m.chi_all.sum() == pytest.approx(2 * c / np.pi, rel=1e-12)
+
+        x = m.grid_s.nodes * 2 / d.B
+        sw = np.sqrt(m.grid_s.weights * 2 / d.B)  # preconditions the solve only
+        basis = np.polynomial.legendre.legvander(x, n_grid - 1) * np.sqrt(np.arange(n_grid) + 0.5)
+        psi = m.modes * np.sqrt(d.B / (4 * np.pi))  # unit norm on [-1, 1]
+        beta = np.linalg.solve(sw[:, None] * basis, (psi * sw).T).T
+        assert np.max(np.abs(beta @ beta.T - np.eye(m_modes))) <= 1e-13
+        # the trailing terms of the expansion, and any degree beyond it
+        assert np.max(np.abs(beta[:, n_terms - 4:])) <= 1e-14
 
 
 class TestFlatness:
