@@ -1,7 +1,7 @@
 """Command-line interface: run scenarios, sweeps, and paper-figure presets.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure (the failing
-stage is named on stderr).
+Exit codes: 0 success, 1 configuration error or an output path that cannot be
+written, 2 numerical failure (the failing stage is named on stderr).
 """
 from __future__ import annotations
 
@@ -97,27 +97,31 @@ def main(argv: list[str] | None = None) -> int:
             rows = run_sweep(scenario)
             text = (format_sweep_json(rows) if scenario.output_format == "json"
                     else format_sweep_csv(rows))
-            _emit(text, scenario.output_path)
-            if args.dump_modes:
-                print("--dump-modes is ignored for sweeps", file=sys.stderr)
-            return 0
-        if args.command == "sweep":
+            result = None
+        elif args.command == "sweep":
             raise ConfigError("sweep command needs a 'sweep' key in the config")
-
-        result = run_scenario(scenario)
-        text = (format_report_json(scenario, result.report)
-                if scenario.output_format == "json"
-                else format_report_csv(scenario, result.report))
-        _emit(text, scenario.output_path)
-        if args.dump_modes:
-            dump_mode_tables(result, args.dump_modes)
-        return 0
+        else:
+            result = run_scenario(scenario)
+            text = (format_report_json(scenario, result.report)
+                    if scenario.output_format == "json"
+                    else format_report_csv(scenario, result.report))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except StageError as exc:
         print(f"numerical failure in {exc.stage}: {exc.cause}", file=sys.stderr)
         return 2
+
+    try:
+        _emit(text, scenario.output_path)
+        if args.dump_modes and result is None:
+            print("--dump-modes is ignored for sweeps", file=sys.stderr)
+        elif args.dump_modes:
+            dump_mode_tables(result, args.dump_modes)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -85,6 +85,21 @@ class TestRunCommand:
             run_scenario(preset("fig3"))
         assert info.value.stage == "detection-modes"
 
+    def test_unwritable_out_is_one_line_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "x.csv"
+        assert cli.main(["preset", "fig3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write") and err.count("\n") == 1
+        assert str(out) in err
+
+    def test_dump_modes_onto_a_file_is_one_line_exit_1(self, fig3_config, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli.main(["run", str(fig3_config), "--dump-modes", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write") and err.count("\n") == 1
+        assert str(taken) in err
+
     def test_phase_and_grid_overrides(self, fig3_config, tmp_path):
         out = tmp_path / "out.csv"
         code = cli.main(["run", str(fig3_config), "--phase", "on",

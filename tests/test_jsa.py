@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import dblquad
+from scipy.integrate import quad
+from scipy.special import erf
 
 from heraldsim.jsa import (
     JsaField,
@@ -176,10 +177,13 @@ class TestJsaNorm:
         gi = build_grid(-12.0, 12.0, 512)
         norm = jsa_norm(sample_jsa(p, gs, gi))
         assert norm == pytest.approx(2 * np.pi / mu_s * np.sqrt(np.pi), rel=0.02)
-        brute, _ = dblquad(
-            lambda wi, wsig: abs(jsa_amplitude(p, wsig, wi)) ** 2,
-            -ws, ws, -12.0, 12.0, epsabs=1e-10)
-        assert norm == pytest.approx(brute, rel=1e-6)
+        # sigma = 1, mu_i = 0: |Phi|^2 = exp(-(ws + wi)^2) sinc^2(mu_s ws / 2), whose
+        # wi integral over [-12, 12] is (sqrt(pi)/2) [erf(12 + ws) - erf(ws - 12)]
+        reference, _ = quad(
+            lambda wsig: np.sinc(mu_s * wsig / (2 * np.pi)) ** 2
+            * 0.5 * np.sqrt(np.pi) * (erf(12.0 + wsig) - erf(wsig - 12.0)),
+            -ws, ws, limit=500)
+        assert norm == pytest.approx(reference, rel=1e-6)
 
     def test_fig3_resolution_convergence(self):
         p = SourceParams(sigma=1.0, mu_s=2.0, mu_i=-1.0)

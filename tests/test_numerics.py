@@ -49,6 +49,33 @@ class TestBuildGrid:
         exact = np.diff(np.polyval(np.polyint(coeffs), [-2.0, 3.0]))[0]
         assert got == pytest.approx(exact, rel=1e-10, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [256, 360, 512, 768])
+    def test_normalized_legendre_basis_is_orthonormal(self, n):
+        # the rule is exact up to degree 2n - 1, so the weighted Gram matrix of
+        # sqrt(k + 1/2) P_k, k < n, is the identity up to rounding
+        g = build_grid(-1.0, 1.0, n)
+        v = np.polynomial.legendre.legvander(g.nodes, n - 1) * np.sqrt(np.arange(n) + 0.5)
+        assert np.max(np.abs((v.T * g.weights) @ v - np.eye(n))) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 33, 54, 129, 256, 768])
+    def test_nodes_match_numpy_leggauss(self, n):
+        g = build_grid(-1.0, 1.0, n)
+        x, _ = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(g.nodes - x)) <= 4.5e-16
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 33, 54, 129, 256, 768])
+    def test_rule_is_exactly_mirror_symmetric(self, n):
+        g = build_grid(-1.0, 1.0, n)
+        assert np.array_equal(g.nodes, -g.nodes[::-1])
+        assert np.array_equal(g.weights, g.weights[::-1])
+        if n % 2:
+            assert g.nodes[n // 2] == 0.0
+
+    def test_weights_sum_to_two_for_every_small_n(self):
+        for n in range(2, 201):
+            g = build_grid(-1.0, 1.0, n)
+            assert abs(g.weights.sum() - 2.0) <= 1e-14, n
+
     @pytest.mark.parametrize("lo,hi,n", [(1.0, 1.0, 4), (2.0, 1.0, 4), (0.0, 1.0, 1)])
     def test_rejects_bad_arguments(self, lo, hi, n):
         with pytest.raises(ValueError):

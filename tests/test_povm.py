@@ -192,8 +192,8 @@ class TestParityBlocksAgainstDenseReference:
         assert max(per_grid[0]) <= math.ceil(d.c + 12 + 40) // 2 + 1
 
     def test_odd_grid_pipeline_matches_dense_modes(self, monkeypatch):
-        # the default grids are always even; an odd --grid-signal reaches the
-        # centre-node path of the even block
+        # the default grids are always even; an odd --grid-signal puts a band
+        # node at the centre, where every odd mode vanishes
         s = preset("fig3")
         result = evaluate_pipeline(s.source, s.detector, n_signal=129)
         monkeypatch.setattr(scenarios, "detection_modes", dense_detection_modes)
@@ -210,9 +210,10 @@ class TestLegendreTruncation:
     orthonormal basis sqrt(k + 1/2) P_k(x), x = 2w/B, and the Gauss rule
     integrates their products exactly, so the discrete Gram matrix is
     beta beta^T.  The coefficients are recovered by solving the collocation
-    system, not by projecting with the grid weights: numpy's leggauss
-    weights carry relative errors up to 5e-11 at n = 360, which alone put the
-    weighted Gram matrix of the plain Legendre basis 8e-13 from the identity.
+    system, not by projecting with the grid weights, so the check does not
+    rest on the weights: their relative errors (2e-12 at n = 360 against
+    40-digit values) alone leave the weighted Gram matrix of the plain
+    Legendre basis up to 5e-14 from the identity.
     """
 
     @pytest.mark.parametrize("c", [0.01, 0.35, np.pi / 4, 7.0, 20.0, 40 * np.pi])
