@@ -4,6 +4,12 @@ The model is a Gaussian pump envelope in the sum frequency times a sinc
 phase-matching factor, with an optional group-delay phase.  Frequencies are
 angular detunings from the perfect phase-matching point.  Without the phase
 the amplitude is real and is kept as float64; with it, as complex128.
+
+Both factors depend on the frequencies only through w_s + w_i and
+mu_s w_s + mu_i w_i, so the amplitude at (-w_s, -w_i) is the one at
+(w_s, w_i), complex-conjugated when the phase is on.  On grids that are mirror
+images of themselves (nodes equal to -nodes reversed, as every grid centred on
+0 is) the sampled field is therefore evaluated on half the signal rows.
 """
 from __future__ import annotations
 
@@ -86,8 +92,23 @@ def jsa_amplitude(p: SourceParams, w_s, w_i):
 
 
 def sample_jsa(p: SourceParams, grid_s: FrequencyGrid, grid_i: FrequencyGrid) -> JsaField:
-    """Evaluate the joint amplitude at every node pair of the two grids."""
-    values = jsa_amplitude(p, grid_s.nodes[:, None], grid_i.nodes[None, :])
+    """The joint amplitude at every node pair of the two grids.
+
+    When both grids are mirror images of themselves, only the first
+    ceil(n_s/2) signal rows are evaluated: signal row n_s - 1 - r is row r
+    reversed along the idler axis, conjugated when the phase is on.  With the
+    phase off this is bitwise the direct evaluation: negating a node is exact
+    and np.sin is odd.
+    """
+    w_s, w_i = grid_s.nodes, grid_i.nodes
+    n_s = w_s.size
+    mirrored = all(np.array_equal(w, -w[::-1]) for w in (w_s, w_i))
+    rows = (n_s + 1) // 2 if mirrored else n_s
+    head = jsa_amplitude(p, w_s[:rows, None], w_i[None, :])
+    tail = head[:n_s - rows][::-1, ::-1]  # empty unless mirrored
+    if p.include_group_delay_phase:
+        tail = tail.conj()
+    values = np.concatenate((head, tail))
     return JsaField(grid_s=grid_s, grid_i=grid_i, values=values)
 
 

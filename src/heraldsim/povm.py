@@ -14,12 +14,15 @@ terms k and k +- 2, so it splits into an even-k and an odd-k symmetric
 tridiagonal matrix whose order depends on c and the number of modes, not on
 the grid.  The kernel eigenvalues follow in closed form from the expansion
 coefficients (Xiao, Rokhlin & Yarvin, Inverse Problems 17, 805 (2001)), and the
-modes are polynomials evaluated on the Gauss-Legendre band grid.
+modes are polynomials evaluated on the Gauss-Legendre band grid.  The
+coefficients and eigenvalues are solved once per (c, number of modes) and
+cached, so grids of different sizes share one solve.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,13 +88,14 @@ def _legendre_terms(c: float, m_modes: int) -> int:
     return n + n % 2
 
 
-def detection_modes(d: DetectorParams, n_grid: int = 256, m_modes: int = 12) -> DetectionModeSet:
-    """Eigenmodes and eigenvalues of the band-limiting/time-windowing operator.
+@lru_cache(maxsize=64)
+def _prolate_expansion(c: float, m_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Legendre coefficients of the top m_modes prolate functions and
+    the spectrum of the expansion, computed once per (c, m_modes).
 
-    Returns the top ``m_modes`` eigenpairs, the modes sampled on a
-    Gauss-Legendre grid over [-B/2, B/2].  Sign convention: the fundamental
-    mode is positive at the band center, higher modes are positive at their
-    first non-vanishing node.
+    Returns the N x m_modes coefficients in the unnormalized basis P_k, unit
+    norm on [-1, 1] once multiplied by sqrt(k + 1/2), and the N eigenvalues chi
+    in descending order.
 
     Each parity block of the prolate operator is solved on N / 2 Legendre
     coefficients beta; its eigenvalues, ascending, give the modes n = 0, 2, 4,
@@ -101,21 +105,6 @@ def detection_modes(d: DetectorParams, n_grid: int = 256, m_modes: int = 12) -> 
     c sqrt(2/3) beta_1 / psi'(0) for odd modes, and chi = c mu^2 / 2pi.  The two
     spectra are merged in descending order.
     """
-    if m_modes < 1:
-        raise ValueError(f"need at least one mode, got {m_modes}")
-    if m_modes > n_grid:
-        raise ValueError(f"cannot resolve {m_modes} modes on {n_grid} nodes")
-    if n_grid < 4 * m_modes:
-        raise ValueError(f"need n_grid >= 4*m_modes, got {n_grid} < {4 * m_modes}")
-
-    grid = build_grid(-0.5 * d.B, 0.5 * d.B, n_grid)
-    # allocate the returned arrays before the temporaries: the temporaries then
-    # lie above every live array on the heap, so freeing them returns the
-    # memory instead of leaving holes that raise the peak RSS of the JSA stage
-    # that follows
-    phi = np.empty((m_modes, n_grid))
-    chi_all = np.zeros(n_grid)
-    c = d.c
     n_terms = _legendre_terms(c, m_modes)
     k = np.arange(n_terms, dtype=float)
     diag = k * (k + 1) + c**2 * (2 * k * (k + 1) - 1) / ((2 * k + 3) * (2 * k - 1))
@@ -149,8 +138,44 @@ def detection_modes(d: DetectorParams, n_grid: int = 256, m_modes: int = 12) -> 
     coef = np.zeros((n_terms, m_modes))
     coef[0::2, is_even] = coefs[0][:, top[is_even]]
     coef[1::2, ~is_even] = coefs[1][:, top[~is_even] - n_even]
+    chi = values[order]
+    coef.setflags(write=False)
+    chi.setflags(write=False)
+    return coef, chi
+
+
+def detection_modes(d: DetectorParams, n_grid: int = 256, m_modes: int = 12) -> DetectionModeSet:
+    """Eigenmodes and eigenvalues of the band-limiting/time-windowing operator.
+
+    Returns the top ``m_modes`` eigenpairs, the modes sampled on a
+    Gauss-Legendre grid over [-B/2, B/2].  Sign convention: the fundamental
+    mode is positive at the band center, higher modes are positive at their
+    first non-vanishing node.
+
+    The Legendre coefficients and eigenvalues depend only on c and m_modes
+    and are solved once per pair (``_prolate_expansion``); each grid only
+    evaluates the polynomials at its nodes.
+    """
+    if m_modes < 1:
+        raise ValueError(f"need at least one mode, got {m_modes}")
+    if m_modes > n_grid:
+        raise ValueError(f"cannot resolve {m_modes} modes on {n_grid} nodes")
+    if n_grid < 4 * m_modes:
+        raise ValueError(f"need n_grid >= 4*m_modes, got {n_grid} < {4 * m_modes}")
+
+    grid = build_grid(-0.5 * d.B, 0.5 * d.B, n_grid)
+    # allocate the returned arrays before the temporaries: the temporaries then
+    # lie above every live array on the heap, so freeing them returns the
+    # memory instead of leaving holes that raise the peak RSS of the JSA stage
+    # that follows
+    phi = np.empty((m_modes, n_grid))
+    chi_all = np.zeros(n_grid)
+    c = d.c
+    coef, chi = _prolate_expansion(c, m_modes)
+    n_terms = chi.size
+    scale = np.sqrt(np.arange(n_terms) + 0.5)  # P_k -> normalized P_k
     # unit-norm psi on [-1, 1] becomes (1/2pi) integral phi^2 dw = 1 on the band
-    coef *= scale[:, None] * np.sqrt(4.0 * np.pi / d.B)
+    coef = coef * (scale[:, None] * np.sqrt(4.0 * np.pi / d.B))
     x = grid.nodes * (2.0 / d.B)
     np.matmul(np.polynomial.legendre.legvander(x, n_terms - 1), coef, out=phi.T)
 
@@ -165,7 +190,7 @@ def detection_modes(d: DetectorParams, n_grid: int = 256, m_modes: int = 12) -> 
             phi[m] = -phi[m]
 
     n_kept = min(n_terms, n_grid)
-    chi_all[:n_kept] = values[order[:n_kept]]
+    chi_all[:n_kept] = chi[:n_kept]
     return DetectionModeSet(
         grid_s=grid,
         modes=phi,

@@ -348,9 +348,14 @@ def scenario_from_dict(data: dict) -> Scenario:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"key {key!r}: expected a number, got {data[key]!r}") from exc
 
+    def integral(value, what):
+        if not float(value).is_integer():  # also rejects nan and inf
+            raise ConfigError(f"{what}: expected an integer, got {value!r}")
+        return int(value)
+
     def iget(key, default=None):
         value = fget(key, default)
-        return value if value is None else int(value)
+        return value if value is None else integral(value, f"key {key!r}")
 
     has_direct = bool(_DIRECT_KEYS & set(data))
     has_physical = bool(_PHYSICAL_KEYS & set(data))
@@ -404,7 +409,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ConfigError("sweep must be '<param> <start> <stop> <count>'")
         try:
             sweep = SweepSpec(param=str(parts[0]), start=float(parts[1]),
-                              stop=float(parts[2]), count=int(float(parts[3])))
+                              stop=float(parts[2]),
+                              count=integral(float(parts[3]), "sweep count"))
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:

@@ -47,6 +47,17 @@ class TestRunCommand:
         bad.write_text("sigma = -3\nmu_s = 0\nmu_i = 0\nB = 1\nT = 1\n")
         assert cli.main(["run", str(bad)]) == 1
 
+    @pytest.mark.parametrize("line", ["modes = nan", "grid_signal = inf",
+                                      "grid_signal = 300.7"])
+    def test_non_integral_count_is_one_line_exit_1(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FIG3_CFG + line + "\n")
+        assert cli.main(["run", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+        assert "expected an integer" in captured.err
+
     def test_numerical_failure_exit_code(self, fig3_config, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise StageError("density-matrix", ValueError("synthetic failure"))

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import erf
 
+from heraldsim import jsa
 from heraldsim.jsa import (
     JsaField,
     SourceParams,
@@ -16,7 +18,24 @@ from heraldsim.jsa import (
     separable_jsa,
 )
 from heraldsim.numerics import build_grid
-from heraldsim.scenarios import preset, support_half_width
+from heraldsim.scenarios import PRESET_NAMES, preset, support_half_width
+
+
+def source_grid_pairs():
+    """(source, grid_s, grid_i) for the full-support and band grids that
+    sample_source builds for every preset, at both refinement levels and at an
+    odd pair of sizes."""
+    for name in PRESET_NAMES:
+        s = preset(name)
+        p, half_band = s.source, 0.5 * s.detector.B
+        floor = half_band + 2.0 * p.sigma
+        w_s = max(support_half_width(p.sigma, p.mu_s), floor)
+        w_i = max(support_half_width(p.sigma, p.mu_i), floor)
+        for n_s, n_i in ((s.n_signal, s.n_idler), (2 * s.n_signal, 2 * s.n_idler),
+                         (257, 385)):
+            grid_i = build_grid(-w_i, w_i, n_i)
+            yield p, build_grid(-w_s, w_s, n_s), grid_i
+            yield p, build_grid(-half_band, half_band, n_s), grid_i
 
 params = st.builds(
     SourceParams,
@@ -100,6 +119,53 @@ class TestSampleJsa:
         field = sample_jsa(p, gs, gi)
         sv = np.linalg.svd(field.values, compute_uv=False)
         assert sv[1] / sv[0] > 0.1  # visibly correlated, far from rank one
+
+
+class TestMirroredSampling:
+    """sample_jsa evaluates half the signal rows on mirror-symmetric grids and
+    mirrors the rest; the field must be the direct evaluation."""
+
+    @staticmethod
+    def assert_direct(p, gs, gi):
+        got = sample_jsa(p, gs, gi).values
+        want = jsa_amplitude(p, gs.nodes[:, None], gi.nodes[None, :])
+        assert got.dtype == want.dtype
+        if p.include_group_delay_phase:
+            # equal, up to the sign of zero imaginary parts
+            assert np.array_equal(got, want)
+        else:
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("phase", [False, True])
+    def test_preset_grids_match_direct_evaluation(self, phase):
+        for p, gs, gi in source_grid_pairs():
+            self.assert_direct(replace(p, include_group_delay_phase=phase), gs, gi)
+
+    @pytest.mark.parametrize("phase", [False, True])
+    def test_asymmetric_grids_match_direct_evaluation(self, phase):
+        p = SourceParams(sigma=1.0, mu_s=2.0, mu_i=-1.0, include_group_delay_phase=phase)
+        gs, gi = build_grid(0.0, 3.0, 17), build_grid(-2.0, 5.0, 16)
+        self.assert_direct(p, gs, gi)
+        self.assert_direct(p, gi, gs)
+        # a mirrored signal grid with an asymmetric idler grid is evaluated in full
+        self.assert_direct(p, build_grid(-3.0, 3.0, 17), gi)
+
+    @pytest.mark.parametrize("n_s, n_i", [(16, 24), (17, 25)])
+    def test_symmetric_grids_evaluate_half_the_rows(self, monkeypatch, n_s, n_i):
+        cells = []
+        real = jsa.jsa_amplitude
+
+        def counting(p, w_s, w_i):
+            cells.append(np.broadcast(w_s, w_i).size)
+            return real(p, w_s, w_i)
+
+        monkeypatch.setattr(jsa, "jsa_amplitude", counting)
+        p = SourceParams(sigma=1.0, mu_s=2.0, mu_i=-1.0)
+        sample_jsa(p, build_grid(-3.0, 3.0, n_s), build_grid(-4.0, 4.0, n_i))
+        assert cells == [math.ceil(n_s / 2) * n_i]
+        cells.clear()
+        sample_jsa(p, build_grid(-3.0, 2.0, n_s), build_grid(-4.0, 4.0, n_i))
+        assert cells == [n_s * n_i]
 
 
 class TestRealField:

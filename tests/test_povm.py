@@ -180,16 +180,27 @@ class TestParityBlocksAgainstDenseReference:
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(povm, "hermitian_eigen", recording)
+        povm._prolate_expansion.cache_clear()
         d = DetectorParams(B=2 * np.pi, T=0.5)
-        per_grid = []
         for n_grid in (256, 512, 1024):
-            orders.clear()
             detection_modes(d, n_grid, 12)
-            assert len(orders) == 2
-            per_grid.append(list(orders))
-        assert per_grid[0] == per_grid[1] == per_grid[2]
+        # the two blocks depend on (c, M), not on the grid: solved once in all
+        assert len(orders) == 2
         # N = ceil(c + M + 40) Legendre terms, split between the two parities
-        assert max(per_grid[0]) <= math.ceil(d.c + 12 + 40) // 2 + 1
+        assert max(orders) <= math.ceil(d.c + 12 + 40) // 2 + 1
+
+    def test_refinement_levels_share_one_solve(self, monkeypatch):
+        calls = []
+        real = povm.hermitian_eigen
+
+        def counting(a, *args, **kwargs):
+            calls.append(len(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(povm, "hermitian_eigen", counting)
+        povm._prolate_expansion.cache_clear()
+        scenarios.run_scenario(preset("fig3"))
+        assert len(calls) == 2  # one even and one odd block for both levels
 
     def test_odd_grid_pipeline_matches_dense_modes(self, monkeypatch):
         # the default grids are always even; an odd --grid-signal puts a band

@@ -67,6 +67,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             scenario_from_dict({"sigma": -1, "mu_s": 0, "mu_i": 0, "B": 1, "T": 1})
 
+    @pytest.mark.parametrize("key, value", [
+        ("modes", "nan"), ("grid_signal", "inf"), ("grid_idler", "-inf"),
+        ("grid_signal", "300.7"), ("modes", 2.5),
+    ])
+    def test_integer_keys_reject_non_integral_values(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key}.*expected an integer"):
+            scenario_from_dict({"sigma": 1, "mu_s": 0, "mu_i": 0, "B": 1,
+                                "T": 1, key: value})
+
+    def test_integer_keys_accept_integral_floats(self):
+        s = scenario_from_dict({"sigma": 1, "mu_s": 0, "mu_i": 0, "B": 1,
+                                "T": 1, "grid_signal": "1e3", "modes": 4.0})
+        assert (s.n_signal, s.m_modes) == (1000, 4)
+        assert type(s.n_signal) is int and type(s.m_modes) is int
+
+    @pytest.mark.parametrize("count", ["inf", "nan", "2.5"])
+    def test_sweep_count_rejects_non_integral_values(self, count):
+        with pytest.raises(ConfigError, match="sweep count"):
+            scenario_from_dict({"sigma": 1, "mu_s": 0, "mu_i": 0, "B": 1,
+                                "T": 1, "sweep": f"T 0.1 2.0 {count}"})
+
     def test_sweep_spec(self):
         s = scenario_from_dict({"sigma": 1, "mu_s": 0, "mu_i": 0, "B": 1,
                                 "T": 1, "sweep": "T 0.1 2.0 5"})
