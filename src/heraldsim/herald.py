@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .jsa import JsaField, SourceParams
-from .numerics import FrequencyGrid, float_or_complex, rms_time_width
+from .numerics import FrequencyGrid, fix_column_phases, float_or_complex, rms_time_width
 from .povm import DetectionModeSet, DetectorParams
 
 # uniform pulse-length convention: tau = 4*sqrt(2)*sigma_t, which maps a
@@ -124,12 +124,7 @@ def idler_density_matrix(
                             full_matrices=False)
     lam = s**2 / np.sum(s**2)
     eigenmodes = (u / sw[:, None]) * np.sqrt(2.0 * np.pi)
-    # the sign rule of povm.detection_modes, as a phase: the first node of each
-    # column above 1e-8 of its largest magnitude is made real and positive
-    mags = np.abs(eigenmodes)
-    first = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
-    ref = eigenmodes[first, np.arange(first.size)]
-    eigenmodes *= ref.conj() / np.abs(ref)
+    fix_column_phases(eigenmodes)  # the sign rule of the detection modes
     return HeraldedState(grid_i=grid_i, amplitudes=amplitudes, lam=lam,
                          eigenmodes=eigenmodes)
 
@@ -137,11 +132,6 @@ def idler_density_matrix(
 def heralding_efficiency(state: HeraldedState) -> float:
     """Largest eigenvalue of the heralded density matrix."""
     return float(state.lam[0])
-
-
-def pulse_length(grid: FrequencyGrid, amplitude: np.ndarray) -> float:
-    """Full pulse length 4*sqrt(2)*sigma_t from a spectral amplitude."""
-    return PULSE_LENGTH_FACTOR * rms_time_width(grid, amplitude)
 
 
 def t_min(
@@ -156,8 +146,8 @@ def t_min(
     filtered-signal pulse length, and the pulse length of the dominant
     heralded idler mode.
     """
-    tau_sig = pulse_length(*filtered_signal_amp)
-    tau_idl = pulse_length(*idler_mode0_amp)
+    tau_sig = PULSE_LENGTH_FACTOR * rms_time_width(*filtered_signal_amp)
+    tau_idl = PULSE_LENGTH_FACTOR * rms_time_width(*idler_mode0_amp)
     return max(d.T, 4.0 / p.sigma, tau_sig, tau_idl)
 
 

@@ -1,5 +1,5 @@
-"""Shared numerical primitives: quadrature grids, Hermitian eigensolves, and
-moment-based pulse-width estimation.
+"""Shared numerical primitives: quadrature grids, Hermitian eigensolves, the
+phase convention of eigenvectors, and moment-based pulse-width estimation.
 
 The Gauss-Legendre rule comes from Newton's method on the three-term Legendre
 recurrence: four or five passes over the n/2 nonnegative nodes, O(n^2)
@@ -8,8 +8,8 @@ solves a dense n x n eigenproblem. Its nodes agree with ``leggauss`` to one
 ulp; its weights are within 4e-12 relative of 40-digit values at n = 360 and
 768, where those of ``leggauss`` are off by 5e-11 and 9e-10.
 
-All functions are pure; the returned containers are immutable and safe to
-share across threads.
+All functions but ``fix_column_phases``, which works in place, are pure;
+``FrequencyGrid`` is immutable and safe to share across threads.
 """
 from __future__ import annotations
 
@@ -132,24 +132,9 @@ def build_grid(lo: float, hi: float, n: int) -> FrequencyGrid:
     return FrequencyGrid(nodes=mid + half * x, weights=half * w, lo=lo, hi=hi)
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Real eigenvalues sorted descending with matching orthonormal columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        vectors = np.asarray(self.vectors)
-        values.setflags(write=False)
-        vectors.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "vectors", vectors)
-
-
-def hermitian_eigen(a: np.ndarray, tol: float = 1e-10) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+def hermitian_eigen(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, descending, and matching orthonormal eigenvector columns of
+    a Hermitian matrix, as ``(values, vectors)``.
 
     The input is symmetrized before the solve; inputs that deviate from
     Hermiticity by more than ``tol`` (relative to the largest entry) are
@@ -173,7 +158,19 @@ def hermitian_eigen(a: np.ndarray, tol: float = 1e-10) -> EigenDecomposition:
     vals, vecs = np.linalg.eigh(sym)
     # stable descending order so degenerate pairs keep input ordering
     order = np.argsort(-vals, kind="stable")
-    return EigenDecomposition(values=vals[order], vectors=vecs[:, order])
+    return vals[order], vecs[:, order]
+
+
+def fix_column_phases(vectors: np.ndarray) -> None:
+    """Fix the free phase (the sign, if real) of each column, in place.
+
+    Each column is rotated so that its first entry above 1e-8 of the column's
+    largest magnitude is real and positive.
+    """
+    mags = np.abs(vectors)
+    first = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
+    ref = vectors[first, np.arange(first.size)]
+    vectors *= ref.conj() / np.abs(ref)
 
 
 def sinc(x, where=True):

@@ -17,6 +17,11 @@ coefficients (Xiao, Rokhlin & Yarvin, Inverse Problems 17, 805 (2001)), and the
 modes are polynomials evaluated on the Gauss-Legendre band grid.  The
 coefficients and eigenvalues are solved once per (c, number of modes) and
 cached, so grids of different sizes share one solve.
+
+Each mode is real up to a sign, fixed by one rule: the mode is positive at
+its first grid node above 1e-8 of its largest magnitude.  psi_0 has no zero on
+the band, so it comes out positive everywhere, and the rule does not depend on
+the order that rounding gives the modes of a chi ~ 1 cluster.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import FrequencyGrid, build_grid, hermitian_eigen
+from .numerics import FrequencyGrid, build_grid, fix_column_phases, hermitian_eigen
 
 
 @dataclass(frozen=True)
@@ -125,7 +130,7 @@ def _prolate_expansion(c: float, m_modes: int) -> tuple[np.ndarray, np.ndarray]:
         block = np.zeros((half, half))
         block.flat[::half + 1] = -diag[parity::2]
         block.flat[1::half + 1] = block.flat[half::half + 1] = -upper[parity::2]
-        beta = hermitian_eigen(block).vectors
+        _, beta = hermitian_eigen(block)
         mu = mu_factor[parity] * beta[0] / (at_0[parity] @ beta)
         coefs.append(beta)
         chis.append(c * mu**2 / (2.0 * np.pi))
@@ -148,9 +153,9 @@ def detection_modes(d: DetectorParams, n_grid: int = 256, m_modes: int = 12) -> 
     """Eigenmodes and eigenvalues of the band-limiting/time-windowing operator.
 
     Returns the top ``m_modes`` eigenpairs, the modes sampled on a
-    Gauss-Legendre grid over [-B/2, B/2].  Sign convention: the fundamental
-    mode is positive at the band center, higher modes are positive at their
-    first non-vanishing node.
+    Gauss-Legendre grid over [-B/2, B/2].  Sign convention: every mode is
+    positive at its first node above 1e-8 of its largest magnitude
+    (``numerics.fix_column_phases``).
 
     The Legendre coefficients and eigenvalues depend only on c and m_modes
     and are solved once per pair (``_prolate_expansion``); each grid only
@@ -179,15 +184,7 @@ def detection_modes(d: DetectorParams, n_grid: int = 256, m_modes: int = 12) -> 
     x = grid.nodes * (2.0 / d.B)
     np.matmul(np.polynomial.legendre.legvander(x, n_terms - 1), coef, out=phi.T)
 
-    center = int(np.argmin(np.abs(grid.nodes)))
-    for m in range(phi.shape[0]):
-        if m == 0:
-            ref = phi[0, center]
-        else:
-            nz = np.flatnonzero(np.abs(phi[m]) > 1e-8 * np.max(np.abs(phi[m])))
-            ref = phi[m, nz[0]] if nz.size else 1.0
-        if ref < 0:
-            phi[m] = -phi[m]
+    fix_column_phases(phi.T)
 
     n_kept = min(n_terms, n_grid)
     chi_all[:n_kept] = chi[:n_kept]

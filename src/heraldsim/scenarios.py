@@ -70,8 +70,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.param != "T":
             raise ConfigError(f"only sweeps over T are supported, got {self.param!r}")
-        if not (0 < self.start <= self.stop):
-            raise ConfigError("sweep bounds must be positive and ordered")
+        if not (0 < self.start <= self.stop and math.isfinite(self.stop)):
+            raise ConfigError("sweep bounds must be finite, positive and ordered")
         if self.count < 1:
             raise ConfigError("sweep needs at least one point")
 
@@ -114,8 +114,6 @@ class PipelineResult:
     report: MetricsReport
     modes: DetectionModeSet
     state: HeraldedState
-    norm_full: float
-    kappa_eff: float
     n_signal: int
     n_idler: int
 
@@ -239,7 +237,6 @@ def evaluate_pipeline(
     report = MetricsReport(p_pair=p_pair, p_s=p_s, d_s=d_s, h=h,
                            t_min=tmin, r_abs=r_abs, practical_rate=practical)
     return PipelineResult(report=report, modes=modes, state=state,
-                          norm_full=norm_full, kappa_eff=kappa_eff,
                           n_signal=n_s, n_idler=n_idler)
 
 
@@ -416,8 +413,13 @@ def scenario_from_dict(data: dict) -> Scenario:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid sweep spec {raw!r}") from exc
 
+    name = str(data.get("name", "scenario"))
+    if any(ch in name for ch in ",\r\n"):
+        raise ConfigError(f"key 'name': a comma or line break would split the "
+                          f"CSV report row, got {name!r}")
+
     return Scenario(
-        name=str(data.get("name", "scenario")),
+        name=name,
         source=source,
         detector=detector,
         physical=physical,

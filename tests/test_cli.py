@@ -58,6 +58,15 @@ class TestRunCommand:
         assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
         assert "expected an integer" in captured.err
 
+    def test_infinite_sweep_bound_is_one_line_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(FIG3_CFG + "sweep = T 0.1 inf 3\n")
+        assert cli.main(["sweep", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+        assert "sweep bounds must be finite" in captured.err
+
     def test_numerical_failure_exit_code(self, fig3_config, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise StageError("density-matrix", ValueError("synthetic failure"))

@@ -96,6 +96,25 @@ class TestConfigParsing:
             scenario_from_dict({"sigma": 1, "mu_s": 0, "mu_i": 0, "B": 1,
                                 "T": 1, "sweep": "B 0.1 2.0 5"})
 
+    @pytest.mark.parametrize("bounds", ["0.1 inf", "inf inf", "0.1 nan"])
+    def test_sweep_bounds_must_be_finite(self, bounds):
+        with pytest.raises(ConfigError, match="sweep bounds must be finite"):
+            scenario_from_dict({"sigma": 1, "mu_s": 0, "mu_i": 0, "B": 1,
+                                "T": 1, "sweep": f"T {bounds} 3"})
+
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\r\nb", ","])
+    def test_name_that_would_split_the_csv_row(self, name):
+        text = json.dumps({"sigma": 1, "mu_s": 0, "mu_i": 0, "B": 1, "T": 1,
+                           "name": name})
+        with pytest.raises(ConfigError, match="key 'name'"):
+            scenario_from_dict(parse_config_text(text))
+
+    def test_name_with_comma_in_flat_text(self, tmp_path):
+        path = tmp_path / "comma.cfg"
+        path.write_text(FIG3_TEXT.replace("name = fig3-custom", "name = a,b"))
+        with pytest.raises(ConfigError, match="key 'name'.*'a,b'"):
+            load_scenario(path)
+
     def test_config_round_trip_identical_metrics(self, tmp_path):
         base = preset("fig3")
         path = tmp_path / "fig3.cfg"
