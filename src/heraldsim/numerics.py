@@ -132,30 +132,21 @@ def build_grid(lo: float, hi: float, n: int) -> FrequencyGrid:
     return FrequencyGrid(nodes=mid + half * x, weights=half * w, lo=lo, hi=hi)
 
 
-def hermitian_eigen(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues, descending, and matching orthonormal eigenvector columns of
     a Hermitian matrix, as ``(values, vectors)``.
 
     The input is symmetrized before the solve; inputs that deviate from
-    Hermiticity by more than ``tol`` (relative to the largest entry) are
-    rejected.
+    Hermiticity by more than 1e-10 of the largest entry are rejected.
     """
     a = float_or_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    # two order^2 temporaries for a real input, whose conjugate transpose is a
-    # view: the magnitudes, then the skew part, which becomes the symmetrized
-    # matrix; the magnitudes are freed before the solve, which can reuse them
     a_h = a.conj().T
-    mags = np.abs(a)
-    scale = max(1.0, float(np.max(mags))) if a.size else 1.0
-    sym = np.subtract(a, a_h)
-    if np.max(np.abs(sym, out=mags)) > tol * scale:
+    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
+    if np.max(np.abs(a - a_h)) > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
-    del mags
-    np.add(a, a_h, out=sym)
-    sym *= 0.5
-    vals, vecs = np.linalg.eigh(sym)
+    vals, vecs = np.linalg.eigh(0.5 * (a + a_h))
     # stable descending order so degenerate pairs keep input ordering
     order = np.argsort(-vals, kind="stable")
     return vals[order], vecs[:, order]

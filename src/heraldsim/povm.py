@@ -20,8 +20,9 @@ cached, so grids of different sizes share one solve.
 
 Each mode is real up to a sign, fixed by one rule: the mode is positive at
 its first grid node above 1e-8 of its largest magnitude.  psi_0 has no zero on
-the band, so it comes out positive everywhere, and the rule does not depend on
-the order that rounding gives the modes of a chi ~ 1 cluster.
+the band, so it comes out positive everywhere.  Mode n is psi_n, of parity
+n % 2, also inside the cluster of chi ~ 1 where rounding cannot order the
+closed-form eigenvalues.
 """
 from __future__ import annotations
 
@@ -104,11 +105,11 @@ def _prolate_expansion(c: float, m_modes: int) -> tuple[np.ndarray, np.ndarray]:
 
     Each parity block of the prolate operator is solved on N / 2 Legendre
     coefficients beta; its eigenvalues, ascending, give the modes n = 0, 2, 4,
-    ... (even block) and n = 1, 3, 5, ... (odd block).  With mu the eigenvalue
+    ... (even block) and n = 1, 3, 5, ... (odd block), so mode n is column
+    n // 2 of the block of parity n % 2.  With mu the eigenvalue
     of the finite Fourier transform integral exp(i c x t) psi(t) dt, its value
     and slope at x = 0 give |mu| = sqrt(2) beta_0 / psi(0) for even modes and
-    c sqrt(2/3) beta_1 / psi'(0) for odd modes, and chi = c mu^2 / 2pi.  The two
-    spectra are merged in descending order.
+    c sqrt(2/3) beta_1 / psi'(0) for odd modes, and chi = c mu^2 / 2pi.
     """
     n_terms = _legendre_terms(c, m_modes)
     k = np.arange(n_terms, dtype=float)
@@ -135,15 +136,12 @@ def _prolate_expansion(c: float, m_modes: int) -> tuple[np.ndarray, np.ndarray]:
         coefs.append(beta)
         chis.append(c * mu**2 / (2.0 * np.pi))
 
-    n_even = chis[0].size
-    values = np.concatenate(chis)
-    order = np.argsort(-values, kind="stable")
-    top = order[:m_modes]
-    is_even = top < n_even
+    # chi falls strictly with n (Slepian & Pollak 1961): interleave, even first
+    chi = np.empty(n_terms)
+    chi[0::2], chi[1::2] = chis
     coef = np.zeros((n_terms, m_modes))
-    coef[0::2, is_even] = coefs[0][:, top[is_even]]
-    coef[1::2, ~is_even] = coefs[1][:, top[~is_even] - n_even]
-    chi = values[order]
+    coef[0::2, 0::2] = coefs[0][:, :(m_modes + 1) // 2]
+    coef[1::2, 1::2] = coefs[1][:, :m_modes // 2]
     coef.setflags(write=False)
     chi.setflags(write=False)
     return coef, chi
@@ -163,8 +161,6 @@ def detection_modes(d: DetectorParams, n_grid: int = 256, m_modes: int = 12) -> 
     """
     if m_modes < 1:
         raise ValueError(f"need at least one mode, got {m_modes}")
-    if m_modes > n_grid:
-        raise ValueError(f"cannot resolve {m_modes} modes on {n_grid} nodes")
     if n_grid < 4 * m_modes:
         raise ValueError(f"need n_grid >= 4*m_modes, got {n_grid} < {4 * m_modes}")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -44,6 +45,8 @@ CSV_COLUMNS = (
     "P_pair", "P_s", "D_s", "H", "T_min", "R_abs", "practical_rate",
 )
 SWEEP_COLUMNS = ("T", "c", "H", "D_s", "T_min", "R_abs")
+# modes per table written by dump_mode_tables
+DUMP_MODES = 6
 
 
 class ConfigError(ValueError):
@@ -58,6 +61,15 @@ class StageError(RuntimeError):
         super().__init__(f"stage '{stage}': {cause}")
         self.stage = stage
         self.cause = cause
+
+
+@contextmanager
+def _stage(name: str):
+    """Tag any exception raised inside the block as a failure of stage ``name``."""
+    try:
+        yield
+    except Exception as exc:  # noqa: BLE001 - tagged and re-raised
+        raise StageError(name, exc) from exc
 
 
 @dataclass(frozen=True)
@@ -187,52 +199,38 @@ def evaluate_pipeline(
     m = m_modes if m_modes is not None else auto_mode_count(detector.c)
     n_s = max(n_signal, 4 * m)
 
-    try:
+    with _stage("detection-modes"):
         modes = detection_modes(detector, n_grid=n_s, m_modes=m)
-    except Exception as exc:  # noqa: BLE001 - tagged and re-raised
-        raise StageError("detection-modes", exc) from exc
 
     source_samples = {} if source_samples is None else source_samples
     key = (source, detector.B, n_s, n_idler)
     if key not in source_samples:
-        try:
+        with _stage("jsa"):
             source_samples[key] = sample_source(source, detector.B, n_s, n_idler)
-        except Exception as exc:
-            raise StageError("jsa", exc) from exc
     samples = source_samples[key]
     jsa_band, norm_full = samples.jsa_band, samples.norm_full
     grid_i = jsa_band.grid_i
 
-    try:
-        if pair_probability_target is not None:
-            p = pair_probability_target
-            kappa_eff = math.sqrt(p / ((1.0 - p) * 4.0 * np.pi**2 * norm_full))
-        else:
-            kappa_eff = source.kappa
-        p_pair = pair_probability(kappa_eff, norm_full)
-
+    with _stage("collapse"):
+        # a calibrated scenario fixes P_pair itself, whatever kappa gives
+        p_pair = (pair_probability_target if pair_probability_target is not None
+                  else pair_probability(source.kappa, norm_full))
         collapsed = collapsed_wavefunctions(jsa_band, modes)
         weights = povm_weights(modes, detector.eta)
         d_s = detection_efficiency(collapsed, weights, grid_i, norm_full)
         p_s = p_pair * d_s
-    except Exception as exc:
-        raise StageError("collapse", exc) from exc
 
-    try:
+    with _stage("density-matrix"):
         state = idler_density_matrix(collapsed, weights, grid_i)
         h = heralding_efficiency(state)
-    except Exception as exc:
-        raise StageError("density-matrix", exc) from exc
 
-    try:
+    with _stage("metrics"):
         tmin = t_min(detector, source, (jsa_band.grid_s, samples.marginal),
                      (grid_i, state.eigenmodes[:, 0]))
         r_abs = absolute_rate(d_s, tmin)
         practical = None
         if external_efficiency is not None:
             practical = practical_rate(r_abs, p_pair, external_efficiency)
-    except Exception as exc:
-        raise StageError("metrics", exc) from exc
 
     report = MetricsReport(p_pair=p_pair, p_s=p_s, d_s=d_s, h=h,
                            t_min=tmin, r_abs=r_abs, practical_rate=practical)
@@ -401,9 +399,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     sweep = None
     if "sweep" in data:
         raw = data["sweep"]
-        parts = raw.split() if isinstance(raw, str) else list(raw)
-        if len(parts) != 4:
-            raise ConfigError("sweep must be '<param> <start> <stop> <count>'")
+        parts = raw.split() if isinstance(raw, str) else raw
+        if not isinstance(parts, list) or len(parts) != 4:
+            raise ConfigError(f"key 'sweep': expected '<param> <start> <stop> "
+                              f"<count>', got {raw!r}")
         try:
             sweep = SweepSpec(param=str(parts[0]), start=float(parts[1]),
                               stop=float(parts[2]),
@@ -411,7 +410,11 @@ def scenario_from_dict(data: dict) -> Scenario:
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid sweep spec {raw!r}") from exc
+            raise ConfigError(f"key 'sweep': invalid spec {raw!r}") from exc
+
+    output_path = data.get("output_path")
+    if output_path is not None and not isinstance(output_path, str):
+        raise ConfigError(f"key 'output_path': expected a path, got {output_path!r}")
 
     name = str(data.get("name", "scenario"))
     if any(ch in name for ch in ",\r\n"):
@@ -430,7 +433,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         external_efficiency=fget("external_efficiency"),
         sweep=sweep,
         output_format=str(data.get("output_format", "csv")),
-        output_path=data.get("output_path"),
+        output_path=output_path,
     )
 
 
@@ -440,50 +443,6 @@ def load_scenario(path: str | Path) -> Scenario:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return scenario_from_dict(parse_config_text(text))
-
-
-def scenario_to_config(s: Scenario) -> str:
-    """Serialize a scenario back to the flat key = value format."""
-    lines = [f"name = {s.name}"]
-    if s.physical is not None:
-        ps = s.physical
-        lines += [
-            f"pump_wavelength_nm = {float(ps.pump_wavelength_nm)!r}",
-            f"pump_bandwidth_fwhm_nm = {float(ps.pump_bandwidth_fwhm_nm)!r}",
-            f"signal_center_wavelength_nm = {float(ps.signal_center_wavelength_nm)!r}",
-            f"filter_bandwidth_nm = {float(ps.filter_bandwidth_nm)!r}",
-            f"fiber_length_m = {float(ps.fiber_length_m)!r}",
-            f"beta2 = {float(ps.beta2)!r}",
-            f"beta3 = {float(ps.beta3)!r}",
-        ]
-    else:
-        lines += [
-            f"sigma = {float(s.source.sigma)!r}",
-            f"mu_s = {float(s.source.mu_s)!r}",
-            f"mu_i = {float(s.source.mu_i)!r}",
-            f"B = {float(s.detector.B)!r}",
-        ]
-    lines += [
-        f"T = {float(s.detector.T)!r}",
-        f"eta = {float(s.detector.eta)!r}",
-        f"kappa = {float(s.source.kappa)!r}",
-        f"phase = {'on' if s.source.include_group_delay_phase else 'off'}",
-        f"grid_signal = {s.n_signal}",
-        f"grid_idler = {s.n_idler}",
-    ]
-    if s.m_modes is not None:
-        lines.append(f"modes = {s.m_modes}")
-    if s.pair_probability is not None:
-        lines.append(f"pair_probability = {float(s.pair_probability)!r}")
-    if s.external_efficiency is not None:
-        lines.append(f"external_efficiency = {float(s.external_efficiency)!r}")
-    if s.sweep is not None:
-        sw = s.sweep
-        lines.append(f"sweep = {sw.param} {float(sw.start)!r} {float(sw.stop)!r} {sw.count}")
-    lines.append(f"output_format = {s.output_format}")
-    if s.output_path is not None:
-        lines.append(f"output_path = {s.output_path}")
-    return "\n".join(lines) + "\n"
 
 
 def resolve_physical(ps: PhysicalSource, T: float, eta: float = 1.0,
@@ -616,15 +575,14 @@ def format_sweep_json(rows: list[tuple[float, float, MetricsReport]]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def dump_mode_tables(result: PipelineResult, directory: str | Path,
-                     max_modes: int = 6) -> None:
-    """Write (omega, phi_m) and (omega_i, eigenmode_n) sample tables for
-    external plotting."""
+def dump_mode_tables(result: PipelineResult, directory: str | Path) -> None:
+    """Write (omega, phi_m) and (omega_i, eigenmode_n) sample tables of the
+    first DUMP_MODES modes for external plotting."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
     modes = result.modes
-    k = min(max_modes, modes.modes.shape[0])
+    k = min(DUMP_MODES, modes.modes.shape[0])
     header = "omega," + ",".join(f"phi_{m}" for m in range(k))
     lines = [header]
     for j, w in enumerate(modes.grid_s.nodes):
@@ -632,7 +590,7 @@ def dump_mode_tables(result: PipelineResult, directory: str | Path,
     (directory / "detection_modes.csv").write_text("\n".join(lines) + "\n")
 
     state = result.state
-    k = min(max_modes, state.eigenmodes.shape[1])
+    k = min(DUMP_MODES, state.eigenmodes.shape[1])
     header = "omega_i," + ",".join(
         f"mode_{n}_re,mode_{n}_im" for n in range(k))
     lines = [header]

@@ -105,6 +105,35 @@ class TestRunCommand:
             run_scenario(preset("fig3"))
         assert info.value.stage == "detection-modes"
 
+    @pytest.mark.parametrize("target, stage", [
+        ("collapsed_wavefunctions", "collapse"),
+        ("idler_density_matrix", "density-matrix"),
+        ("t_min", "metrics"),
+    ])
+    def test_stage_failure_is_tagged(self, monkeypatch, target, stage):
+        cause = FloatingPointError(f"synthetic {stage} failure")
+
+        def boom(*args, **kwargs):
+            raise cause
+
+        monkeypatch.setattr(scenarios, target, boom)
+        with pytest.raises(StageError) as info:
+            run_scenario(preset("fig3"))
+        assert info.value.stage == stage
+        assert info.value.__cause__ is cause
+
+    @pytest.mark.parametrize("key, value", [("output_path", 5), ("sweep", 5)])
+    def test_wrong_typed_json_value_is_one_line_exit_1(self, tmp_path, capsys,
+                                                       key, value):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps({"sigma": 1.0, "mu_s": 2.0, "mu_i": -1.0,
+                                   "B": 6.283185307179586, "T": 0.5, key: value}))
+        assert cli.main(["run", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+        assert f"key '{key}'" in captured.err
+
     def test_unwritable_out_is_one_line_exit_1(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "x.csv"
         assert cli.main(["preset", "fig3", "--out", str(out)]) == 1

@@ -146,6 +146,21 @@ class TestDetectionModes:
         with pytest.raises(ValueError):
             detection_modes(d, 16, 0)
 
+    @pytest.mark.parametrize("c", [0.35, 7.0, 40 * np.pi])
+    def test_mode_n_has_parity_n(self, c):
+        # psi_n has parity n % 2 (Slepian & Pollak 1961), also inside the
+        # chi ~ 1 cluster at c = 40 pi, where rounding cannot order the chi
+        m_modes = auto_mode_count(c)
+        coef, _ = povm._prolate_expansion(c, m_modes)
+        for n in range(m_modes):
+            assert np.all(coef[1 - n % 2::2, n] == 0), f"mode {n}"
+            assert np.any(coef[n % 2::2, n] != 0), f"mode {n}"
+        d = DetectorParams(B=2 * np.pi, T=4 * c / (2 * np.pi))
+        m = detection_modes(d, 4 * m_modes + 1, m_modes)
+        sign = (-1.0) ** np.arange(m_modes)[:, None]
+        assert np.allclose(m.modes[:, ::-1], sign * m.modes, rtol=0,
+                           atol=1e-12 * np.max(np.abs(m.modes)))
+
 
 class TestParityBlocksAgainstDenseReference:
     """The even/odd block solve must reproduce the dense eigensolve of the

@@ -1,5 +1,7 @@
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from heraldsim.scenarios import (
     run_scenario,
     run_sweep,
     scenario_from_dict,
-    scenario_to_config,
     support_half_width,
 )
 
@@ -115,30 +116,48 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="key 'name'.*'a,b'"):
             load_scenario(path)
 
-    def test_config_round_trip_identical_metrics(self, tmp_path):
+    @pytest.mark.parametrize("key, value", [
+        ("sweep", 5), ("sweep", None), ("sweep", {"T": 1}), ("sweep", ["T", None, 2, 3]),
+        ("output_path", 5), ("output_path", ["out.csv"]),
+    ])
+    def test_wrong_typed_json_value(self, key, value):
+        text = json.dumps({"sigma": 1, "mu_s": 0, "mu_i": 0, "B": 1, "T": 1,
+                           key: value})
+        with pytest.raises(ConfigError, match=f"key '{key}'"):
+            scenario_from_dict(parse_config_text(text))
+
+    def test_literal_config_reproduces_preset(self, tmp_path):
         base = preset("fig3")
         path = tmp_path / "fig3.cfg"
-        path.write_text(scenario_to_config(base))
-        loaded = load_scenario(path)
-        a = run_scenario(base, refine=False).report
-        b = run_scenario(loaded, refine=False).report
-        assert a == b
-
-    def test_physical_config_round_trip(self, tmp_path):
-        base = preset("fig5-9ps")
-        path = tmp_path / "fiber.cfg"
-        path.write_text(scenario_to_config(base))
+        path.write_text(FIG3_TEXT)
         loaded = load_scenario(path)
         assert loaded.source == base.source
         assert loaded.detector == base.detector
+        assert (run_scenario(loaded, refine=False).report
+                == run_scenario(base, refine=False).report)
 
-    def test_direct_form_round_trip_of_numpy_floats(self, tmp_path):
-        # the fiber presets resolve to np.float64 fields, whose numpy 2 repr
-        # "np.float64(...)" is not a number the config parser accepts
-        base = replace(preset("fig5-9ps"), physical=None)
-        path = tmp_path / "direct.cfg"
-        path.write_text(scenario_to_config(base))
-        assert load_scenario(path) == base
+
+README_BLOCKS = re.findall(r"```ini\n(.*?)```",
+                           (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+                           re.S)
+
+
+class TestReadmeConfigs:
+    def test_every_block_loads(self):
+        assert len(README_BLOCKS) == 2
+        for block in README_BLOCKS:
+            scenario_from_dict(parse_config_text(block))
+
+    def test_physical_block_is_fig5_9ps(self):
+        physical = [scenario_from_dict(parse_config_text(block))
+                    for block in README_BLOCKS if "pump_wavelength_nm" in block]
+        assert len(physical) == 1
+        base = preset("fig5-9ps")
+        assert physical[0].source == base.source
+        assert physical[0].detector == base.detector
+        assert physical[0].physical == base.physical
+        assert physical[0].pair_probability == base.pair_probability
+        assert physical[0].external_efficiency == base.external_efficiency
 
 
 class TestGridExtent:
