@@ -7,29 +7,33 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .scenarios import (
     PRESET_NAMES,
+    PRESETS,
     ConfigError,
-    Scenario,
     StageError,
     dump_mode_tables,
     format_report_csv,
     format_report_json,
     format_sweep_csv,
     format_sweep_json,
-    load_scenario,
-    preset,
+    read_config,
     run_scenario,
     run_sweep,
+    scenario_from_dict,
 )
+
+# the config keys that the common flags set, one per flag
+_FLAG_KEYS = ("output_path", "output_format", "grid_signal", "grid_idler", "modes", "phase")
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    sub.add_argument("--format", choices=("csv", "json"), help="output encoding")
+    sub.add_argument("--out", dest="output_path", metavar="PATH",
+                     help="write output here instead of stdout")
+    sub.add_argument("--format", dest="output_format", choices=("csv", "json"),
+                     help="output encoding")
     sub.add_argument("--grid-signal", type=int, metavar="N", help="signal grid size")
     sub.add_argument("--grid-idler", type=int, metavar="N", help="idler grid size")
     sub.add_argument("--modes", type=int, metavar="M", help="retained detection modes")
@@ -60,23 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(s: Scenario, args: argparse.Namespace) -> Scenario:
-    if args.grid_signal is not None:
-        s = replace(s, n_signal=args.grid_signal)
-    if args.grid_idler is not None:
-        s = replace(s, n_idler=args.grid_idler)
-    if args.modes is not None:
-        s = replace(s, m_modes=args.modes)
-    if args.phase is not None:
-        s = replace(s, source=replace(s.source,
-                                      include_group_delay_phase=args.phase == "on"))
-    if args.format is not None:
-        s = replace(s, output_format=args.format)
-    if args.out is not None:
-        s = replace(s, output_path=args.out)
-    return s
-
-
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -88,10 +75,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "preset":
-            scenario = preset(args.name)
+            data = {"name": args.name, **PRESETS[args.name]}
         else:
-            scenario = load_scenario(args.config)
-        scenario = _apply_overrides(scenario, args)
+            data = read_config(args.config)
+        # a flag replaces the key it names before the keys are validated
+        data.update((k, getattr(args, k)) for k in _FLAG_KEYS
+                    if getattr(args, k) is not None)
+        scenario = scenario_from_dict(data)
 
         if scenario.sweep is not None and args.command in ("sweep", "preset"):
             rows = run_sweep(scenario)

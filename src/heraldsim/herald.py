@@ -33,9 +33,13 @@ class HeraldedState:
 
     rho(w_i, w_i') = sum_m a_m(w_i) a_m^*(w_i') for the rows a_m of
     ``amplitudes``; ``rho`` builds that dense matrix on each read.
+    ``click_weight`` is sum_m eta_m ||Phi_m||^2 under the grid quadrature, the
+    trace of the unnormalized state times 2pi: D_s is click_weight over
+    2pi times the full joint-amplitude norm, and H is lam[0].
     """
 
     grid_i: FrequencyGrid
+    click_weight: float
     amplitudes: np.ndarray  # (M, n_i), sqrt(eta_m / trace) Phi_m
     lam: np.ndarray  # eigenvalues, descending, summing to 1; at most M of them
     eigenmodes: np.ndarray  # (n_i, lam.size) columns, (1/2pi)-orthonormal
@@ -77,18 +81,6 @@ def collapsed_wavefunctions(jsa_band: JsaField, modes: DetectionModeSet) -> np.n
     return (modes.modes * gs.weights[None, :]) @ jsa_band.values
 
 
-def detection_efficiency(
-    collapsed: np.ndarray,
-    eta_weights: np.ndarray,
-    grid_i: FrequencyGrid,
-    norm_full: float,
-) -> float:
-    """Detection efficiency D_s = P_s / P_pair: the POVM-weighted norm of the
-    collapsed amplitudes over the full joint-amplitude norm."""
-    mode_norms = np.abs(collapsed) ** 2 @ grid_i.weights
-    return float(eta_weights @ mode_norms) / (2.0 * np.pi * norm_full)
-
-
 def idler_density_matrix(
     collapsed: np.ndarray,
     eta_weights: np.ndarray,
@@ -114,7 +106,8 @@ def idler_density_matrix(
     if np.any(eta_weights < 0.0):
         raise ValueError("detection-mode efficiencies must be non-negative")
 
-    trace = float(eta_weights @ (np.abs(collapsed) ** 2 @ grid_i.weights)) / (2.0 * np.pi)
+    click_weight = float(eta_weights @ (np.abs(collapsed) ** 2 @ grid_i.weights))
+    trace = click_weight / (2.0 * np.pi)
     if trace <= 0.0:
         raise ValueError("heralded state has zero weight")
     amplitudes = np.sqrt(eta_weights / trace)[:, None] * collapsed
@@ -125,13 +118,8 @@ def idler_density_matrix(
     lam = s**2 / np.sum(s**2)
     eigenmodes = (u / sw[:, None]) * np.sqrt(2.0 * np.pi)
     fix_column_phases(eigenmodes)  # the sign rule of the detection modes
-    return HeraldedState(grid_i=grid_i, amplitudes=amplitudes, lam=lam,
-                         eigenmodes=eigenmodes)
-
-
-def heralding_efficiency(state: HeraldedState) -> float:
-    """Largest eigenvalue of the heralded density matrix."""
-    return float(state.lam[0])
+    return HeraldedState(grid_i=grid_i, click_weight=click_weight, amplitudes=amplitudes,
+                         lam=lam, eigenmodes=eigenmodes)
 
 
 def t_min(

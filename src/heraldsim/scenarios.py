@@ -16,8 +16,6 @@ from .herald import (
     MetricsReport,
     absolute_rate,
     collapsed_wavefunctions,
-    detection_efficiency,
-    heralding_efficiency,
     idler_density_matrix,
     practical_rate,
     t_min,
@@ -35,6 +33,7 @@ from .units import (
 DEFAULT_N_SIGNAL = 256
 DEFAULT_N_IDLER = 384
 DEFAULT_M_MODES = 12
+# run_scenario doubles the grids up to MAX_REFINEMENTS + 1 = 3 times, to 8x
 MAX_REFINEMENTS = 2
 # refinement thresholds: half the tightest regression tolerances on H and D_s
 H_STABILITY = 0.0025
@@ -96,7 +95,6 @@ class Scenario:
     name: str
     source: SourceParams
     detector: DetectorParams
-    physical: Optional[PhysicalSource] = None
     n_signal: int = DEFAULT_N_SIGNAL
     n_idler: int = DEFAULT_N_IDLER
     m_modes: Optional[int] = None  # None: choose from c
@@ -217,12 +215,12 @@ def evaluate_pipeline(
                   else pair_probability(source.kappa, norm_full))
         collapsed = collapsed_wavefunctions(jsa_band, modes)
         weights = povm_weights(modes, detector.eta)
-        d_s = detection_efficiency(collapsed, weights, grid_i, norm_full)
-        p_s = p_pair * d_s
 
     with _stage("density-matrix"):
         state = idler_density_matrix(collapsed, weights, grid_i)
-        h = heralding_efficiency(state)
+        d_s = state.click_weight / (2.0 * np.pi * norm_full)
+        p_s = p_pair * d_s
+        h = float(state.lam[0])
 
     with _stage("metrics"):
         tmin = t_min(detector, source, (jsa_band.grid_s, samples.marginal),
@@ -244,9 +242,14 @@ def run_scenario(
     *,
     source_samples: Optional[dict[tuple, SourceSamples]] = None,
 ) -> PipelineResult:
-    """Evaluate a scenario; grid sizes are doubled automatically until the key
-    metrics (H, D_s) are stable under a further doubling.  ``source_samples``
-    is passed on to ``evaluate_pipeline``."""
+    """Evaluate a scenario, doubling the grids until H and D_s are stable.
+
+    Each level is compared with the level at twice its grid sizes, and the
+    first level that agrees with it is returned.  At most MAX_REFINEMENTS + 1
+    = 3 doublings are made, to 8x the starting grids.  When no pair of levels
+    agrees, the finest level is returned, and nothing in the result says that
+    it did not converge.  ``source_samples`` is passed on to
+    ``evaluate_pipeline``."""
     n_s, n_i = s.n_signal, s.n_idler
 
     def run(ns, ni):
@@ -368,29 +371,25 @@ def scenario_from_dict(data: dict) -> Scenario:
     eta = fget("eta", 1.0)
     kappa = fget("kappa", 0.1)
 
-    physical = None
     try:
         if has_direct:
             missing = _DIRECT_KEYS - set(data)
             if missing:
                 raise ConfigError(f"missing direct-source keys: {sorted(missing)}")
-            source = SourceParams(sigma=fget("sigma"), mu_s=fget("mu_s"),
-                                  mu_i=fget("mu_i"), kappa=kappa,
-                                  include_group_delay_phase=phase)
-            detector = DetectorParams(B=fget("B"), T=fget("T"), eta=eta)
+            sigma, mu_s, mu_i, band = (fget(k) for k in ("sigma", "mu_s", "mu_i", "B"))
         else:
             missing = _PHYSICAL_KEYS - set(data)
             if missing:
                 raise ConfigError(f"missing physical-source keys: {sorted(missing)}")
-            physical = PhysicalSource(
-                pump_wavelength_nm=fget("pump_wavelength_nm"),
-                pump_bandwidth_fwhm_nm=fget("pump_bandwidth_fwhm_nm"),
-                signal_center_wavelength_nm=fget("signal_center_wavelength_nm"),
-                filter_bandwidth_nm=fget("filter_bandwidth_nm"),
-                fiber_length_m=fget("fiber_length_m"),
-                beta2=fget("beta2"), beta3=fget("beta3"), kappa=kappa)
-            source, detector = resolve_physical(physical, T=fget("T"), eta=eta,
-                                                phase=phase)
+            # laboratory units to model parameters in SI units
+            ps = PhysicalSource(**{k: fget(k) for k in sorted(_PHYSICAL_KEYS)}, kappa=kappa)
+            sigma = pump_bandwidth_to_sigma(ps.pump_bandwidth_fwhm_nm, ps.pump_wavelength_nm)
+            band = wavelength_band_to_angular_bandwidth(ps.signal_center_wavelength_nm,
+                                                        ps.filter_bandwidth_nm)
+            mu_s, mu_i = fiber_mu_coefficients(ps)
+        source = SourceParams(sigma=sigma, mu_s=mu_s, mu_i=mu_i, kappa=kappa,
+                              include_group_delay_phase=phase)
+        detector = DetectorParams(B=band, T=fget("T"), eta=eta)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -416,7 +415,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError(f"key 'output_path': expected a path, got {output_path!r}")
 
-    name = str(data.get("name", "scenario"))
+    name = data.get("name", "scenario")
+    if not isinstance(name, str):
+        raise ConfigError(f"key 'name': expected a string, got {name!r}")
     if any(ch in name for ch in ",\r\n"):
         raise ConfigError(f"key 'name': a comma or line break would split the "
                           f"CSV report row, got {name!r}")
@@ -425,7 +426,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         name=name,
         source=source,
         detector=detector,
-        physical=physical,
         n_signal=iget("grid_signal", DEFAULT_N_SIGNAL),
         n_idler=iget("grid_idler", DEFAULT_N_IDLER),
         m_modes=iget("modes"),
@@ -437,25 +437,13 @@ def scenario_from_dict(data: dict) -> Scenario:
     )
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def read_config(path: str | Path) -> dict:
+    """The keys of a config file, for ``scenario_from_dict``."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return scenario_from_dict(parse_config_text(text))
-
-
-def resolve_physical(ps: PhysicalSource, T: float, eta: float = 1.0,
-                     phase: bool = False) -> tuple[SourceParams, DetectorParams]:
-    """Convert a laboratory description to model parameters in SI units."""
-    sigma = pump_bandwidth_to_sigma(ps.pump_bandwidth_fwhm_nm, ps.pump_wavelength_nm)
-    band = wavelength_band_to_angular_bandwidth(ps.signal_center_wavelength_nm,
-                                                ps.filter_bandwidth_nm)
-    mu_s, mu_i = fiber_mu_coefficients(ps)
-    source = SourceParams(sigma=sigma, mu_s=mu_s, mu_i=mu_i, kappa=ps.kappa,
-                          include_group_delay_phase=phase)
-    detector = DetectorParams(B=band, T=T, eta=eta)
-    return source, detector
+    return parse_config_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -471,59 +459,40 @@ def resolve_physical(ps: PhysicalSource, T: float, eta: float = 1.0,
 # efficiencies (0.434 at T = 180 ps, 0.990 at T = 9 ps) follow from the
 # resulting anti-correlated joint spectrum.  The time-bandwidth parameters
 # c = 7.0 / 0.35 do not depend on these assumptions at all.
-FIBER_BETA2 = 5.7e-28  # s^2/m
-FIBER_BETA3 = 8.7e-41  # s^3/m
+_FIBER = {
+    "pump_wavelength_nm": 1305.0,
+    "pump_bandwidth_fwhm_nm": 0.03,
+    "signal_center_wavelength_nm": 1306.5,
+    "filter_bandwidth_nm": 0.14,
+    "fiber_length_m": 500.0,
+    "beta2": 5.7e-28,  # s^2/m
+    "beta3": 8.7e-41,  # s^3/m
+    "pair_probability": 0.14,
+    "external_efficiency": 0.05,
+}
+_FIG3 = {"sigma": 1.0, "mu_s": 2.0, "mu_i": -1.0, "B": 2.0 * np.pi, "T": 0.5}
 
-_FIBER_COMMON = dict(
-    pump_wavelength_nm=1305.0,
-    pump_bandwidth_fwhm_nm=0.03,
-    signal_center_wavelength_nm=1306.5,
-    filter_bandwidth_nm=0.14,
-    fiber_length_m=500.0,
-    beta2=FIBER_BETA2,
-    beta3=FIBER_BETA3,
-)
-
-PRESET_NAMES = ("fig1", "fig3", "fig4", "fig5-180ps", "fig5-9ps", "fig5-wideband")
+# the config keys of each worked example (natural units sigma = 1 for
+# fig1/fig3/fig4; SI units for the fiber presets)
+PRESETS = {
+    "fig1": {"sigma": 1.0, "mu_s": 20.0, "mu_i": 0.0, "B": 4.0 * np.pi, "T": 40.0},
+    "fig3": _FIG3,
+    "fig4": {**_FIG3, "sweep": "T 0.1 4.0 17"},
+    "fig5-180ps": {**_FIBER, "T": 180e-12},
+    "fig5-9ps": {**_FIBER, "T": 9e-12},
+    # wide-pump, weak-pulse variant; the quoted near-unity heralding
+    # efficiency requires the single-mode (short) window
+    "fig5-wideband": {**_FIBER, "pump_bandwidth_fwhm_nm": 0.12,
+                      "pair_probability": 0.015, "T": 9e-12},
+}
+PRESET_NAMES = tuple(PRESETS)
 
 
 def preset(name: str) -> Scenario:
-    """Named scenarios matching the worked examples (natural units sigma = 1
-    for fig1/fig3/fig4; SI units for the fiber presets)."""
-    if name == "fig1":
-        return Scenario(
-            name=name,
-            source=SourceParams(sigma=1.0, mu_s=20.0, mu_i=0.0, kappa=0.1),
-            detector=DetectorParams(B=4.0 * np.pi, T=40.0),
-        )
-    if name == "fig3":
-        return Scenario(
-            name=name,
-            source=SourceParams(sigma=1.0, mu_s=2.0, mu_i=-1.0, kappa=0.1),
-            detector=DetectorParams(B=2.0 * np.pi, T=0.5),
-        )
-    if name == "fig4":
-        base = preset("fig3")
-        return replace(base, name=name, sweep=SweepSpec("T", 0.1, 4.0, 17))
-    if name in ("fig5-180ps", "fig5-9ps", "fig5-wideband"):
-        common = dict(_FIBER_COMMON)
-        t_window = 180e-12
-        p_pair = 0.14
-        if name == "fig5-9ps":
-            t_window = 9e-12
-        if name == "fig5-wideband":
-            # wide-pump, weak-pulse variant; the quoted near-unity heralding
-            # efficiency requires the single-mode (short) window
-            common["pump_bandwidth_fwhm_nm"] = 0.12
-            p_pair = 0.015
-            t_window = 9e-12
-        physical = PhysicalSource(**common)
-        source, detector = resolve_physical(physical, T=t_window)
-        return Scenario(
-            name=name, source=source, detector=detector, physical=physical,
-            pair_probability=p_pair, external_efficiency=0.05,
-        )
-    raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    """The named worked example, built from its config keys in ``PRESETS``."""
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    return scenario_from_dict({"name": name, **PRESETS[name]})
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """The traced benchmark binds heraldsim functions by name and reads some of
 their arguments; a span whose function or probed parameter disappears makes
-``bench/run.py --trace 1`` fail.  These tests load ``bench/worker.py`` without
-calling its ``install``, which would rebind the heraldsim module globals."""
+``bench/run.py --trace 1`` fail.  The worker also calls ``scenarios`` and
+``cli`` functions directly, and runs presets by name.  These tests load
+``bench/worker.py`` without calling its ``install``, which would rebind the
+heraldsim module globals."""
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -43,6 +46,44 @@ def test_traced_function_exists_with_probed_parameters(span):
 def test_every_probe_is_covered():
     probes = {span[3] for span in SPANS} - {None, worker._probe_point}
     assert probes == set(PROBED)
+
+
+def _direct_calls():
+    """(module, function, positional count, keyword names) of each call of the
+    form ``scenarios.f(...)`` or ``cli.f(...)`` in the worker's source."""
+    calls = set()
+    for node in ast.walk(ast.parse(WORKER.read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("scenarios", "cli")):
+            calls.add((node.func.value.id, node.func.attr, len(node.args),
+                       tuple(k.arg for k in node.keywords)))
+    return sorted(calls)
+
+
+DIRECT_CALLS = _direct_calls()
+
+
+def test_worker_calls_the_entry_points():
+    names = {call[1] for call in DIRECT_CALLS}
+    assert {"preset", "run_scenario", "run_sweep", "format_report_csv",
+            "format_sweep_csv", "main"} <= names
+
+
+@pytest.mark.parametrize("call", DIRECT_CALLS, ids=[f"{c[0]}.{c[1]}" for c in DIRECT_CALLS])
+def test_direct_call_binds(call):
+    module_name, attr, n_args, keywords = call
+    fn = getattr(importlib.import_module(f"heraldsim.{module_name}"), attr, None)
+    assert callable(fn), f"{module_name}.{attr} is gone"
+    inspect.signature(fn).bind(*([None] * n_args), **dict.fromkeys(keywords))
+
+
+def test_worker_presets_exist():
+    from heraldsim.scenarios import PRESET_NAMES
+
+    used = set(worker.PRESET_POINTS) | set(worker.DUMP_POINTS) | {worker.SWEEP_PRESET}
+    used |= {name for names in worker.SMOKE_POINTS.values() for name in names}
+    assert used <= set(PRESET_NAMES)
 
 
 def test_point_probe_reads_pipeline_result_fields():

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from heraldsim import cli, scenarios
-from heraldsim.scenarios import StageError, preset, run_scenario, run_sweep
+from heraldsim.scenarios import PRESETS, StageError, preset, run_scenario, run_sweep
 
 FIG3_CFG = """\
 name = fig3-custom
@@ -122,7 +122,8 @@ class TestRunCommand:
         assert info.value.stage == stage
         assert info.value.__cause__ is cause
 
-    @pytest.mark.parametrize("key, value", [("output_path", 5), ("sweep", 5)])
+    @pytest.mark.parametrize("key, value", [("output_path", 5), ("sweep", 5),
+                                            ("name", None)])
     def test_wrong_typed_json_value_is_one_line_exit_1(self, tmp_path, capsys,
                                                        key, value):
         cfg = tmp_path / "typed.json"
@@ -156,6 +157,18 @@ class TestRunCommand:
                          "--modes", "8", "--out", str(out)])
         assert code == 0
         assert out.exists()
+
+    def test_flag_replaces_the_file_key_before_validation(self, tmp_path, capsys):
+        # a grid of 4 is invalid on its own; the flag's value is the one checked
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(FIG3_CFG + "grid_signal = 4\n")
+        assert cli.main(["run", str(cfg)]) == 1
+        capsys.readouterr()
+        assert cli.main(["run", str(cfg), "--grid-signal", "128"]) == 0
+        flagged = capsys.readouterr().out
+        cfg.write_text(FIG3_CFG + "grid_signal = 128\n")
+        assert cli.main(["run", str(cfg)]) == 0
+        assert flagged == capsys.readouterr().out
 
     def test_dump_modes(self, fig3_config, tmp_path):
         dump = tmp_path / "dump"
@@ -214,6 +227,18 @@ class TestPresetCommand:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "T,c,H,D_s,T_min,R_abs"
         assert len(lines) == 18
+
+    def test_flags_set_the_config_keys_of_their_names(self, tmp_path, capsys):
+        keys = {"name": "fig3", **PRESETS["fig3"], "grid_signal": 128,
+                "grid_idler": 192, "modes": 8, "phase": "on", "output_format": "json"}
+        cfg = tmp_path / "fig3.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        assert cli.main(["run", str(cfg)]) == 0
+        from_file = capsys.readouterr().out
+        assert cli.main(["preset", "fig3", "--grid-signal", "128", "--grid-idler", "192",
+                         "--modes", "8", "--phase", "on", "--format", "json"]) == 0
+        assert capsys.readouterr().out == from_file
+        assert json.loads(from_file)["name"] == "fig3"
 
     def test_unknown_preset_rejected_by_argparse(self):
         with pytest.raises(SystemExit):

@@ -5,8 +5,6 @@ from dataclasses import replace
 from heraldsim.herald import (
     absolute_rate,
     collapsed_wavefunctions,
-    detection_efficiency,
-    heralding_efficiency,
     idler_density_matrix,
     practical_rate,
     t_min,
@@ -84,8 +82,9 @@ class TestSignalClickProbability:
         full_grid = build_grid(-8.0, 8.0, 512)
         full = separable_jsa(f, g, full_grid, idler_grid)
         band = separable_jsa(f, g, band_modes.grid_s, idler_grid)
-        d_s = detection_efficiency(collapsed_wavefunctions(band, band_modes),
-                                   povm_weights(band_modes, 1.0), idler_grid, jsa_norm(full))
+        state = idler_density_matrix(collapsed_wavefunctions(band, band_modes),
+                                     povm_weights(band_modes, 1.0), idler_grid)
+        d_s = state.click_weight / (2 * np.pi * jsa_norm(full))
         fs = f(band_modes.grid_s.nodes)
         overlaps = (band_modes.modes * band_modes.grid_s.weights[None, :]) @ fs
         f_norm = full_grid.integrate(np.abs(f(full_grid.nodes)) ** 2)
@@ -98,10 +97,24 @@ class TestSignalClickProbability:
         full = separable_jsa(gaussian(1.0), gaussian(1.0), full_grid, idler_grid)
         band = separable_jsa(gaussian(1.0), gaussian(1.0), band_modes.grid_s, idler_grid)
         collapsed = collapsed_wavefunctions(band, band_modes)
-        d1, d2 = (detection_efficiency(collapsed, povm_weights(band_modes, eta), idler_grid,
-                                       jsa_norm(full)) for eta in (1.0, 0.5))
+        d1, d2 = (idler_density_matrix(collapsed, povm_weights(band_modes, eta),
+                                       idler_grid).click_weight / (2 * np.pi * jsa_norm(full))
+                  for eta in (1.0, 0.5))
         assert d2 == pytest.approx(0.5 * d1, rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["fig1", "fig5-180ps"])
+    def test_pipeline_reads_d_s_and_h_from_the_state(self, name):
+        # D_s is sum_m eta_m ||Phi_m||^2 / (2pi norm_full) to the last bit
+        s = preset(name)
+        result = evaluate_pipeline(s.source, s.detector)
+        samples = scenarios.sample_source(s.source, s.detector.B, result.n_signal,
+                                          result.n_idler)
+        collapsed = collapsed_wavefunctions(samples.jsa_band, result.modes)
+        weights = povm_weights(result.modes, s.detector.eta)
+        mode_norms = np.abs(collapsed) ** 2 @ samples.jsa_band.grid_i.weights
+        want = float(weights @ mode_norms) / (2 * np.pi * samples.norm_full)
+        assert result.report.d_s == want
+        assert result.report.h == result.state.lam[0]
 
     @pytest.mark.parametrize("name", ["fig1", "fig3", "fig5-180ps"])
     def test_mode_free_oracle(self, name):
@@ -136,7 +149,7 @@ class TestIdlerDensityMatrix:
                               idler_grid)
         collapsed = collapsed_wavefunctions(field, band_modes)
         state = idler_density_matrix(collapsed, povm_weights(band_modes, 1.0), idler_grid)
-        assert heralding_efficiency(state) == pytest.approx(1.0, abs=1e-6)
+        assert state.lam[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_state_hygiene(self, band_modes, idler_grid):
         field = sample_jsa(SourceParams(sigma=1.0, mu_s=2.0, mu_i=-1.0),

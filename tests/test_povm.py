@@ -127,8 +127,8 @@ class TestDetectionModes:
         for row in m.modes[1:]:
             nz = np.flatnonzero(np.abs(row) > 1e-8 * np.max(np.abs(row)))
             assert row[nz[0]] > 0
-        # at fig1, c = 40 pi, rounding can list the odd psi_1 of the chi ~ 1
-        # cluster first; mode 0 follows the same rule as every other mode
+        # at fig1, c = 40 pi, every mode, psi_0 included, is positive at its
+        # first non-negligible node, on even and odd grids alike
         d = preset("fig1").detector
         m_modes = auto_mode_count(d.c)
         for n_grid in (360, 361, 512):

@@ -9,13 +9,14 @@ import pytest
 from heraldsim import scenarios
 from heraldsim.jsa import JsaField
 from heraldsim.scenarios import (
+    PRESETS,
     ConfigError,
     Scenario,
     SweepSpec,
     format_report_csv,
-    load_scenario,
     parse_config_text,
     preset,
+    read_config,
     run_scenario,
     run_sweep,
     scenario_from_dict,
@@ -114,11 +115,11 @@ class TestConfigParsing:
         path = tmp_path / "comma.cfg"
         path.write_text(FIG3_TEXT.replace("name = fig3-custom", "name = a,b"))
         with pytest.raises(ConfigError, match="key 'name'.*'a,b'"):
-            load_scenario(path)
+            scenario_from_dict(read_config(path))
 
     @pytest.mark.parametrize("key, value", [
         ("sweep", 5), ("sweep", None), ("sweep", {"T": 1}), ("sweep", ["T", None, 2, 3]),
-        ("output_path", 5), ("output_path", ["out.csv"]),
+        ("output_path", 5), ("output_path", ["out.csv"]), ("name", None), ("name", 5),
     ])
     def test_wrong_typed_json_value(self, key, value):
         text = json.dumps({"sigma": 1, "mu_s": 0, "mu_i": 0, "B": 1, "T": 1,
@@ -130,7 +131,7 @@ class TestConfigParsing:
         base = preset("fig3")
         path = tmp_path / "fig3.cfg"
         path.write_text(FIG3_TEXT)
-        loaded = load_scenario(path)
+        loaded = scenario_from_dict(read_config(path))
         assert loaded.source == base.source
         assert loaded.detector == base.detector
         assert (run_scenario(loaded, refine=False).report
@@ -153,11 +154,23 @@ class TestReadmeConfigs:
                     for block in README_BLOCKS if "pump_wavelength_nm" in block]
         assert len(physical) == 1
         base = preset("fig5-9ps")
-        assert physical[0].source == base.source
-        assert physical[0].detector == base.detector
-        assert physical[0].physical == base.physical
-        assert physical[0].pair_probability == base.pair_probability
-        assert physical[0].external_efficiency == base.external_efficiency
+        assert replace(physical[0], name=base.name) == base
+
+    def test_direct_block_is_fig3(self):
+        direct = [scenario_from_dict(parse_config_text(block))
+                  for block in README_BLOCKS if "sigma" in block]
+        assert direct == [preset("fig3")]
+
+
+class TestPresets:
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_preset_is_its_keys_as_a_config_file(self, name, tmp_path):
+        lines = [f"name = {name}"] + [
+            f"{key} = {value if isinstance(value, str) else repr(value)}"
+            for key, value in PRESETS[name].items()]
+        path = tmp_path / f"{name}.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        assert scenario_from_dict(read_config(path)) == preset(name)
 
 
 class TestGridExtent:
