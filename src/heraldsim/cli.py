@@ -95,6 +95,11 @@ def main(argv: list[str] | None = None) -> int:
             text = (format_report_json(scenario, result.report)
                     if scenario.output_format == "json"
                     else format_report_csv(scenario, result.report))
+            if not result.resolved:
+                print(f"warning: not converged: the {result.n_signal}x"
+                      f"{result.n_idler} grid, the finest tried, does not "
+                      f"resolve the joint amplitude or the detection modes",
+                      file=sys.stderr)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,6 @@
-"""Shared numerical primitives: quadrature grids, Hermitian eigensolves, the
-phase convention of eigenvectors, and moment-based pulse-width estimation.
+"""Shared numerical primitives: quadrature grids, the Legendre tail that
+certifies a sampled field, Hermitian eigensolves, the phase convention of
+eigenvectors, and moment-based pulse-width estimation.
 
 The Gauss-Legendre rule comes from Newton's method on the three-term Legendre
 recurrence: four or five passes over the n/2 nonnegative nodes, O(n^2)
@@ -130,6 +131,56 @@ def build_grid(lo: float, hi: float, n: int) -> FrequencyGrid:
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     return FrequencyGrid(nodes=mid + half * x, weights=half * w, lo=lo, hi=hi)
+
+
+@lru_cache(maxsize=64)
+def _legendre_tail_rows(n: int) -> np.ndarray:
+    """Read-only rows w_r Pbar_k(x_r) of the discrete Legendre transform on the
+    n-point Gauss rule, for the top n // 8 degrees k below n, computed once per
+    n.  Pbar_k = sqrt(k + 1/2) P_k is the normalized Legendre polynomial."""
+    x, w = _legendre_rule(n)
+    first = n - n // 8
+    rows = np.empty((n // 8, n))
+    p, q = x.copy(), np.ones_like(x)  # P_k and P_{k-1}, from k = 1
+    t = np.empty_like(x)
+    for k in range(1, n - 1):
+        # the recurrence of _legendre_and_derivative, written over P_{k-1}
+        np.multiply(x, p, out=t)
+        np.subtract(t, q, out=q)
+        q *= k / (k + 1)
+        q += t
+        p, q = q, p
+        if k + 1 >= first:
+            rows[k + 1 - first] = p
+    rows *= np.sqrt(np.arange(first, n) + 0.5)[:, None] * w
+    rows.setflags(write=False)
+    return rows
+
+
+def legendre_tail(values: np.ndarray) -> float:
+    """Share of a field's weight in its top Legendre degrees, the larger of
+    its two axes.
+
+    ``values`` is sampled on the tensor product of two Gauss-Legendre rules,
+    on any intervals.  Along each axis the Gauss rule makes the discrete
+    transform exact below degree n, so the normalized Legendre coefficients
+    of degrees n - n // 8 to n - 1 are a k x n block times the samples.
+    Their weighted L2 norm, taken over the other axis too, is divided by the
+    field's weighted norm, which by Parseval is the norm of all n
+    coefficients.  A field that the grid resolves leaves those degrees at
+    rounding level; a zero field has no tail.
+    """
+    v = np.asarray(values)
+    n_s, n_i = v.shape
+    if min(n_s, n_i) < 8:
+        raise ValueError(f"need at least 8 nodes per axis, got {v.shape}")
+    w_s, w_i = _legendre_rule(n_s)[1], _legendre_rule(n_i)[1]
+    energy = w_s @ np.abs(v) ** 2 @ w_i
+    if energy == 0.0:
+        return 0.0
+    tail_s = np.sum(np.abs(_legendre_tail_rows(n_s) @ v) ** 2 @ w_i)
+    tail_i = np.sum(w_s @ np.abs(v @ _legendre_tail_rows(n_i).T) ** 2)
+    return float(np.sqrt(max(tail_s, tail_i) / energy))
 
 
 def hermitian_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,8 +21,14 @@ from .herald import (
     t_min,
 )
 from .jsa import JsaField, SourceParams, jsa_norm, pair_probability, sample_jsa
-from .numerics import build_grid
-from .povm import DetectionModeSet, DetectorParams, detection_modes, povm_weights
+from .numerics import build_grid, legendre_tail
+from .povm import (
+    DetectionModeSet,
+    DetectorParams,
+    _legendre_terms,
+    detection_modes,
+    povm_weights,
+)
 from .units import (
     PhysicalSource,
     fiber_mu_coefficients,
@@ -33,11 +39,22 @@ from .units import (
 DEFAULT_N_SIGNAL = 256
 DEFAULT_N_IDLER = 384
 DEFAULT_M_MODES = 12
-# run_scenario doubles the grids up to MAX_REFINEMENTS + 1 = 3 times, to 8x
-MAX_REFINEMENTS = 2
-# refinement thresholds: half the tightest regression tolerances on H and D_s
-H_STABILITY = 0.0025
-DS_STABILITY = 0.005
+# run_scenario doubles the grids at most MAX_REFINEMENTS = 3 times, to 8x
+MAX_REFINEMENTS = 3
+# A level is resolved when the top n // 8 Legendre degrees of its joint
+# amplitude fields hold at most this share of their weight (legendre_tail).
+# The amplitude is entire, so its coefficients from degree n on are smaller
+# still, and a tail tau leaves each field a polynomial of degree < 7n/8 up to
+# a relative L2 remainder of about tau.  The Gauss rule integrates exactly the
+# product of such a polynomial with one of degree < 9n/8: |field|^2 (the
+# norm), phi_m times the field with phi_m of degree < n_s (the collapse), and
+# the idler products that build rho.  The norm, the collapse and rho thus
+# carry relative quadrature errors of about 2 tau = 2e-6, three orders below
+# the tolerances on H and D_s.  The bound sits 40x above the largest tail of
+# a resolved preset field (2.4e-8, the fiber presets' full-support fields)
+# and 1e4x below that of an unresolved level (1.9e-2: sigma = 1, mu_s = 200,
+# mu_i = 0, B = 4 pi at 360/384, resolved only at 1024/1536).
+CHOP_TOL = 1e-6
 
 CSV_COLUMNS = (
     "name", "sigma", "mu_s", "mu_i", "B", "T", "c",
@@ -126,6 +143,9 @@ class PipelineResult:
     state: HeraldedState
     n_signal: int
     n_idler: int
+    # the joint amplitude's Legendre tail is below CHOP_TOL and the grid
+    # holds every Legendre term of the detection modes
+    resolved: bool
 
 
 def support_half_width(sigma: float, mu: float) -> float:
@@ -143,12 +163,14 @@ def auto_mode_count(c: float) -> int:
 @dataclass(frozen=True)
 class SourceSamples:
     """The part of a pipeline evaluation that does not depend on the window T:
-    the joint amplitude on the filter band, its norm over the full support, and
-    the filtered signal marginal that T_min reads."""
+    the joint amplitude on the filter band, its norm over the full support, the
+    filtered signal marginal that T_min reads, and the larger Legendre tail of
+    the full-support and band fields."""
 
     jsa_band: JsaField  # band grid x idler grid
     norm_full: float
     marginal: np.ndarray  # sqrt(integral |jsa_band|^2 dw_i) on the band grid
+    tail: float
 
     def __post_init__(self):
         marginal = np.asarray(self.marginal)
@@ -159,8 +181,8 @@ class SourceSamples:
 def sample_source(source: SourceParams, B: float, n_s: int, n_i: int) -> SourceSamples:
     """Sample the joint amplitude for a filter band B on n_s x n_i grids.
 
-    The full-support field is reduced to its norm before the band is sampled,
-    so only the band field is kept.
+    The full-support field is reduced to its norm and its Legendre tail before
+    the band is sampled, so only the band field is kept.
     """
     # the full-support grids must cover at least the filter band plus the
     # pump envelope, or the norm denominator can undercount band content
@@ -169,10 +191,15 @@ def sample_source(source: SourceParams, B: float, n_s: int, n_i: int) -> SourceS
     w_i = max(support_half_width(source.sigma, source.mu_i), band_floor)
     grid_s_full = build_grid(-w_s, w_s, n_s)
     grid_i = build_grid(-w_i, w_i, n_i)
-    norm_full = jsa_norm(sample_jsa(source, grid_s_full, grid_i))
+    full = sample_jsa(source, grid_s_full, grid_i)
+    norm_full = jsa_norm(full)
+    tail_full = legendre_tail(full.values)
+    del full
     jsa_band = sample_jsa(source, build_grid(-0.5 * B, 0.5 * B, n_s), grid_i)
     marginal = np.sqrt(np.abs(jsa_band.values) ** 2 @ grid_i.weights)
-    return SourceSamples(jsa_band=jsa_band, norm_full=norm_full, marginal=marginal)
+    tail = max(tail_full, legendre_tail(jsa_band.values))
+    return SourceSamples(jsa_band=jsa_band, norm_full=norm_full, marginal=marginal,
+                         tail=tail)
 
 
 def evaluate_pipeline(
@@ -232,8 +259,9 @@ def evaluate_pipeline(
 
     report = MetricsReport(p_pair=p_pair, p_s=p_s, d_s=d_s, h=h,
                            t_min=tmin, r_abs=r_abs, practical_rate=practical)
+    resolved = samples.tail <= CHOP_TOL and _legendre_terms(detector.c, m) <= n_s
     return PipelineResult(report=report, modes=modes, state=state,
-                          n_signal=n_s, n_idler=n_idler)
+                          n_signal=n_s, n_idler=n_idler, resolved=resolved)
 
 
 def run_scenario(
@@ -242,33 +270,25 @@ def run_scenario(
     *,
     source_samples: Optional[dict[tuple, SourceSamples]] = None,
 ) -> PipelineResult:
-    """Evaluate a scenario, doubling the grids until H and D_s are stable.
+    """Evaluate a scenario, doubling both grids until a level is resolved.
 
-    Each level is compared with the level at twice its grid sizes, and the
-    first level that agrees with it is returned.  At most MAX_REFINEMENTS + 1
-    = 3 doublings are made, to 8x the starting grids.  When no pair of levels
-    agrees, the finest level is returned, and nothing in the result says that
-    it did not converge.  ``source_samples`` is passed on to
-    ``evaluate_pipeline``."""
+    A level is resolved when its joint amplitude fields leave at most CHOP_TOL
+    of their weight in their top Legendre degrees and its signal grid holds
+    every Legendre term of the detection modes (``PipelineResult.resolved``),
+    so each level certifies itself and no finer level is evaluated to check
+    it.  The first resolved level is returned.  At most MAX_REFINEMENTS = 3
+    doublings are made, to 8x the starting grids; when none of the four levels
+    is resolved, the finest is returned with ``resolved`` False.  With
+    ``refine`` False the first level is returned, resolved or not.
+    ``source_samples`` is passed on to ``evaluate_pipeline``."""
     n_s, n_i = s.n_signal, s.n_idler
-
-    def run(ns, ni):
-        return evaluate_pipeline(
-            s.source, s.detector, n_signal=ns, n_idler=ni, m_modes=s.m_modes,
-            pair_probability_target=s.pair_probability,
-            external_efficiency=s.external_efficiency,
-            source_samples=source_samples)
-
-    result = run(n_s, n_i)
-    if not refine:
-        return result
-    for _ in range(MAX_REFINEMENTS + 1):
-        finer = run(2 * n_s, 2 * n_i)
-        if (abs(finer.report.h - result.report.h) <= H_STABILITY
-                and abs(finer.report.d_s - result.report.d_s) <= DS_STABILITY):
-            return result
-        result = finer
-        n_s, n_i = 2 * n_s, 2 * n_i
+    for level in range(MAX_REFINEMENTS + 1 if refine else 1):
+        result = evaluate_pipeline(
+            s.source, s.detector, n_signal=n_s * 2**level, n_idler=n_i * 2**level,
+            m_modes=s.m_modes, pair_probability_target=s.pair_probability,
+            external_efficiency=s.external_efficiency, source_samples=source_samples)
+        if result.resolved:
+            break
     return result
 
 
@@ -342,6 +362,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         if key not in data:
             return default
         try:
+            if isinstance(data[key], bool):  # float(True) would read it as 1.0
+                raise TypeError
             return float(data[key])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"key {key!r}: expected a number, got {data[key]!r}") from exc
@@ -399,7 +421,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     if "sweep" in data:
         raw = data["sweep"]
         parts = raw.split() if isinstance(raw, str) else raw
-        if not isinstance(parts, list) or len(parts) != 4:
+        if (not isinstance(parts, list) or len(parts) != 4
+                or any(isinstance(part, bool) for part in parts)):
             raise ConfigError(f"key 'sweep': expected '<param> <start> <stop> "
                               f"<count>', got {raw!r}")
         try:

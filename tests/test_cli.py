@@ -1,9 +1,17 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from heraldsim import cli, scenarios
-from heraldsim.scenarios import PRESETS, StageError, preset, run_scenario, run_sweep
+from heraldsim.scenarios import (
+    PRESETS,
+    StageError,
+    format_report_csv,
+    preset,
+    run_scenario,
+    run_sweep,
+)
 
 FIG3_CFG = """\
 name = fig3-custom
@@ -123,7 +131,8 @@ class TestRunCommand:
         assert info.value.__cause__ is cause
 
     @pytest.mark.parametrize("key, value", [("output_path", 5), ("sweep", 5),
-                                            ("name", None)])
+                                            ("name", None), ("modes", True),
+                                            ("sigma", True)])
     def test_wrong_typed_json_value_is_one_line_exit_1(self, tmp_path, capsys,
                                                        key, value):
         cfg = tmp_path / "typed.json"
@@ -213,6 +222,21 @@ class TestPresetCommand:
         assert cli.main(["preset", "fig3"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[1].startswith("fig3,")
+
+    def test_resolved_run_writes_nothing_to_stderr(self, capsys):
+        assert cli.main(["preset", "fig3"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_unresolved_run_warns_in_one_line(self, capsys):
+        s = replace(preset("fig3"), n_signal=8, n_idler=8)
+        result = run_scenario(s)
+        assert not result.resolved
+        assert cli.main(["preset", "fig3", "--grid-signal", "8", "--grid-idler", "8"]) == 0
+        captured = capsys.readouterr()
+        # stdout still holds the finest level's report, and the exit code is 0
+        assert captured.out == format_report_csv(s, result.report)
+        assert captured.err.startswith("warning:") and captured.err.count("\n") == 1
+        assert "64x64" in captured.err
 
     def test_preset_byte_identical_runs(self, capsys):
         cli.main(["preset", "fig3"])

@@ -4,8 +4,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from heraldsim.numerics import (
+    _legendre_rule,
     build_grid,
     hermitian_eigen,
+    legendre_tail,
     rms_time_width,
     sinc,
 )
@@ -84,6 +86,70 @@ class TestBuildGrid:
     def test_rejects_non_finite_endpoints(self):
         with pytest.raises(ValueError):
             build_grid(-np.inf, 1.0, 8)
+
+
+def _normalized_legendre(coefs, x):
+    """sum_k coefs[k] sqrt(k + 1/2) P_k(x): unit norm on [-1, 1] per term."""
+    coefs = np.asarray(coefs)
+    return np.polynomial.legendre.legval(x, coefs * np.sqrt(np.arange(coefs.size) + 0.5))
+
+
+class TestLegendreTail:
+    @pytest.mark.parametrize("n_s, n_i, decay, bound", [
+        (8, 8, 1.0, 1e-13), (64, 48, 1.0, 1e-13), (200, 256, 1.0, 1e-13),
+        # with every degree below 7n/8 at equal weight, the rounding of the
+        # rule's weights alone lifts the tail to 1.4e-13 at n = 384, and to
+        # 6e-13 at n = 1536 with coefficients falling as 0.97^k: a floor six
+        # orders below the tolerance the pipeline checks the tail against
+        (360, 384, 0.97, 1e-13), (1024, 1536, 0.97, 1e-12),
+    ])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_polynomial_field_has_no_tail(self, n_s, n_i, decay, bound, dtype):
+        rng = np.random.default_rng(n_s + n_i)
+        x, y = _legendre_rule(n_s)[0], _legendre_rule(n_i)[0]
+        # every degree below 7n/8 along both axes
+        k_s, k_i = n_s - n_s // 8, n_i - n_i // 8
+        c_s = rng.standard_normal(k_s).astype(dtype) * decay ** np.arange(k_s)
+        if dtype is complex:
+            c_s += 1j * rng.standard_normal(k_s) * decay ** np.arange(k_s)
+        c_i = rng.standard_normal(k_i) * decay ** np.arange(k_i)
+        field = np.outer(_normalized_legendre(c_s, x), _normalized_legendre(c_i, y))
+        field += np.outer(_normalized_legendre(c_s[:3], x), _normalized_legendre(c_i, -y))
+        assert legendre_tail(field) <= bound
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_top_degree_part_reads_its_relative_weight(self, eps, axis):
+        n_s, n_i = 96, 128
+        x, y = _legendre_rule(n_s)[0], _legendre_rule(n_i)[0]
+        w_s, w_i = _legendre_rule(n_s)[1], _legendre_rule(n_i)[1]
+        p = np.outer(np.exp(-x**2), 1.0 / (2.0 + y))
+        top = np.zeros(n_s if axis == 0 else n_i)
+        top[-1] = 1.0
+        if axis == 0:
+            part = np.outer(_normalized_legendre(top, x), np.cos(y))
+        else:
+            part = np.outer(np.cos(x), _normalized_legendre(top, y))
+        def weight(f):
+            return np.sqrt(w_s @ np.abs(f) ** 2 @ w_i)
+
+        part *= eps * weight(p) / weight(part)
+        # p is analytic around [-1, 1] and resolved, so the tail is the added
+        # part's share
+        assert legendre_tail(p) <= 1e-14
+        assert legendre_tail(p + part) == pytest.approx(eps / np.hypot(1.0, eps), rel=1e-4)
+
+    def test_independent_of_scale_and_zero_for_zero_field(self):
+        x, y = _legendre_rule(32)[0], _legendre_rule(40)[0]
+        field = np.outer(np.exp(-4 * x**2), np.exp(-4 * y**2))
+        for scale in (1e-100, 1e100):
+            assert legendre_tail(scale * field) == pytest.approx(legendre_tail(field),
+                                                                 rel=1e-10)
+        assert legendre_tail(np.zeros((32, 40))) == 0.0
+
+    def test_rejects_axes_below_8_nodes(self):
+        with pytest.raises(ValueError):
+            legendre_tail(np.ones((7, 16)))
 
 
 class TestHermitianEigen:

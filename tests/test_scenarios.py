@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from heraldsim import scenarios
-from heraldsim.jsa import JsaField
+from heraldsim.jsa import JsaField, SourceParams
+from heraldsim.povm import DetectorParams, _legendre_terms
 from heraldsim.scenarios import (
+    CHOP_TOL,
+    MAX_REFINEMENTS,
     PRESETS,
     ConfigError,
     Scenario,
@@ -120,12 +123,22 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key, value", [
         ("sweep", 5), ("sweep", None), ("sweep", {"T": 1}), ("sweep", ["T", None, 2, 3]),
         ("output_path", 5), ("output_path", ["out.csv"]), ("name", None), ("name", 5),
+        # float(True) is 1.0, so a boolean must not pass for a number
+        ("modes", True), ("sigma", True), ("T", False), ("grid_signal", True),
+        ("sweep", ["T", True, 2, 3]),
     ])
     def test_wrong_typed_json_value(self, key, value):
         text = json.dumps({"sigma": 1, "mu_s": 0, "mu_i": 0, "B": 1, "T": 1,
                            key: value})
         with pytest.raises(ConfigError, match=f"key '{key}'"):
             scenario_from_dict(parse_config_text(text))
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_json_boolean_phase(self, value):
+        text = json.dumps({"sigma": 1, "mu_s": 0, "mu_i": 0, "B": 1, "T": 1,
+                           "phase": value})
+        s = scenario_from_dict(parse_config_text(text))
+        assert s.source.include_group_delay_phase is value
 
     def test_literal_config_reproduces_preset(self, tmp_path):
         base = preset("fig3")
@@ -236,6 +249,12 @@ def _point_reports(s):
             for t in s.sweep.values()]
 
 
+# sigma = 1, mu_s = 200: the first two grid levels do not resolve the sinc
+# lobes along w_s, and their D_s is far from the 0.2001 of 1024/1536
+DEFECT = Scenario(name="defect", source=SourceParams(sigma=1.0, mu_s=200.0, mu_i=0.0),
+                  detector=DetectorParams(B=4.0 * np.pi, T=40.0))
+
+
 class TestSweepReuse:
     """A sweep shares the source samples between its points; its rows must be
     bit-identical to evaluating each point on its own."""
@@ -263,8 +282,83 @@ class TestSweepReuse:
         monkeypatch.setattr(scenarios, "sample_jsa", counting)
         run_sweep(replace(preset("fig4"), sweep=SweepSpec("T", 0.1, 4.0, 5)),
                   refine=True)
-        # one full-support and one band field per (n_s, n_i) level
-        assert len(levels) == 2 * len(set(levels)) == 4
+        # one full-support and one band field per (n_s, n_i) level; every
+        # fig4 point is resolved at the first level
+        assert len(levels) == 2 * len(set(levels)) == 2
+        levels.clear()
+        # every point of this sweep starts at n_s = 256 and refines twice
+        run_sweep(replace(DEFECT, sweep=SweepSpec("T", 20.0, 25.0, 3)), refine=True)
+        assert len(levels) == 2 * len(set(levels)) == 6
+
+
+@pytest.fixture
+def pipeline_calls(monkeypatch):
+    """The (n_signal, n_idler) of each evaluate_pipeline call run_scenario makes."""
+    calls = []
+    real = scenarios.evaluate_pipeline
+
+    def counting(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((result.n_signal, result.n_idler))
+        return result
+
+    monkeypatch.setattr(scenarios, "evaluate_pipeline", counting)
+    return calls
+
+
+class TestCertificate:
+    """run_scenario returns the first level that certifies itself by its
+    Legendre tail and its mode expansion, and evaluates no finer level."""
+
+    @pytest.mark.parametrize("name", [n for n in PRESETS if "sweep" not in PRESETS[n]])
+    def test_preset_is_one_resolved_evaluation(self, name, pipeline_calls):
+        result = run_scenario(preset(name))
+        assert result.resolved
+        assert len(pipeline_calls) == 1
+
+    def test_fig4_point_is_one_resolved_evaluation(self, pipeline_calls):
+        s = preset("fig4")
+        for t_value in s.sweep.values():
+            pipeline_calls.clear()
+            point = replace(s, detector=replace(s.detector, T=float(t_value)), sweep=None)
+            assert run_scenario(point).resolved
+            assert len(pipeline_calls) == 1
+
+    def test_defect_refines_to_the_resolved_level(self, pipeline_calls):
+        result = run_scenario(DEFECT)
+        assert result.resolved
+        assert (result.n_signal, result.n_idler) == (1024, 1536)
+        assert result.report.d_s == pytest.approx(0.2001, abs=5e-5)
+        assert pipeline_calls == [(360, 384), (512, 768), (1024, 1536)]
+
+    def test_defect_at_a_wider_window_stays_bounded(self):
+        # both of the first two levels have n_s = 4M = 520, so they agree with
+        # each other on D_s = 1.17, outside [0, 1]; neither resolves w_s
+        result = run_scenario(replace(DEFECT, detector=replace(DEFECT.detector, T=60.0)))
+        assert (result.n_signal, result.n_idler) == (1024, 1536)
+        assert result.report.d_s == pytest.approx(0.30012, abs=5e-5)
+
+    def test_unexpanded_modes_force_refinement(self, pipeline_calls):
+        # c = 220 needs 272 Legendre terms per mode; 12 user-set modes keep
+        # n_s = 256 at the first level, whose joint amplitude is resolved
+        s = replace(preset("fig3"), m_modes=12,
+                    detector=replace(preset("fig3").detector, T=140.0))
+        result = run_scenario(s)
+        assert _legendre_terms(s.detector.c, 12) > 256
+        assert scenarios.sample_source(s.source, s.detector.B, 256, 384).tail <= CHOP_TOL
+        assert result.resolved
+        assert pipeline_calls == [(256, 384), (512, 768)]
+
+    def test_unresolved_last_level_is_flagged(self, pipeline_calls):
+        result = run_scenario(replace(preset("fig3"), n_signal=8, n_idler=8))
+        assert not result.resolved
+        assert len(pipeline_calls) == MAX_REFINEMENTS + 1
+        assert (result.n_signal, result.n_idler) == (64, 64)
+
+    def test_without_refinement_the_first_level_is_returned(self, pipeline_calls):
+        result = run_scenario(DEFECT, refine=False)
+        assert not result.resolved
+        assert pipeline_calls == [(360, 384)]
 
 
 class TestRealField:
