@@ -20,10 +20,11 @@ import numpy as np
 
 from .numerics import FrequencyGrid, float_or_complex, sinc
 
-# exp(x) rounds to exactly 0 for x <= -1075 ln 2 (about -745.13); pump
-# exponents below this floor are written as 0 without calling exp, whose SIMD
-# loop leaves its fast path on underflowing arguments
-EXP_FLOOR = -746.0
+# exp(x) is a normal float, at least the smallest one (about 2.2e-308), for x at
+# or above this floor (about -708.40) and subnormal or 0 below it; pump
+# exponents below it are written as 0 without calling exp, so the field holds
+# no subnormal, which would slow exp, the collapse and the Legendre tail
+EXP_FLOOR = float(np.log(np.finfo(float).tiny))
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,8 @@ def jsa_amplitude(p: SourceParams, w_s, w_i):
     phase-matching factor, with the optional group-delay phase.
 
     Real (float64) unless the source includes the group-delay phase.  Cells
-    where the pump factor underflows to 0 skip the sinc.
+    where the pump factor would fall below the smallest normal float are 0
+    and skip the sinc.
     """
     w_s = np.asarray(w_s, dtype=float)
     w_i = np.asarray(w_i, dtype=float)

@@ -1,13 +1,16 @@
-"""Shared numerical primitives: quadrature grids, the Legendre tail that
-certifies a sampled field, Hermitian eigensolves, the phase convention of
-eigenvectors, and moment-based pulse-width estimation.
+"""Shared numerical primitives: quadrature grids, normalized Legendre
+polynomials, the Legendre tail that certifies a sampled field, Hermitian
+eigensolves, the phase convention of eigenvectors, and moment-based
+pulse-width estimation.
 
-The Gauss-Legendre rule comes from Newton's method on the three-term Legendre
-recurrence: four or five passes over the n/2 nonnegative nodes, O(n^2)
-arithmetic in O(n) vectorized steps per pass, where numpy's ``leggauss``
-solves a dense n x n eigenproblem. Its nodes agree with ``leggauss`` to one
-ulp; its weights are within 4e-12 relative of 40-digit values at n = 360 and
-768, where those of ``leggauss`` are off by 5e-11 and 9e-10.
+One three-term recurrence (``_legendre_rows``) serves every Legendre use: the
+Newton passes of the Gauss-Legendre rule, the rule's weights and tail rows,
+and the detection modes (``legendre_vander``).  The rule takes three passes
+over the n/2 nonnegative nodes (four below n = 208), O(n^2) arithmetic in O(n)
+vectorized steps per pass, where numpy's ``leggauss`` solves a dense n x n
+eigenproblem.  Its nodes agree with ``leggauss`` to one ulp; its weights are
+within 4e-12 relative of 40-digit values at n = 256, 360 and 768, where those
+of ``leggauss`` are off by 5e-11 and 9e-10 at n = 360 and 768.
 
 All functions but ``fix_column_phases``, which works in place, are pure;
 ``FrequencyGrid`` is immutable and safe to share across threads.
@@ -63,56 +66,90 @@ def float_or_complex(a) -> np.ndarray:
     return a.astype(np.result_type(a, float), copy=False)
 
 
-def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) for |x| < 1, by the three-term recurrence in
-    three preallocated buffers."""
-    p = x.copy()  # P_k, from k = 1
-    q = np.ones_like(x)  # P_{k-1}
+def _legendre_rows(x: np.ndarray, n: int, first: int) -> np.ndarray:
+    """P_k(x) for first <= k <= n, as the rows of a new array, by the
+    three-term recurrence; the degrees below ``first`` run in two buffers."""
+    rows = np.empty((n + 1 - first, x.size))
+    q, p = np.ones_like(x), x.copy()  # P_{k-1} and P_k, from k = 1
+    if first == 0:
+        rows[0] = q
+    if first <= 1 <= n:
+        rows[1 - first] = p
     t = np.empty_like(x)
     for k in range(1, n):
         # P_{k+1} = x P_k + k/(k+1) (x P_k - P_{k-1}), written over P_{k-1}
+        # until the kept rows begin
+        dst = rows[k + 1 - first] if k + 1 >= first else q
         np.multiply(x, p, out=t)
-        np.subtract(t, q, out=q)
-        q *= k / (k + 1)
-        q += t
-        p, q = q, p
-    return p, n * (x * p - q) / (x * x - 1.0)
+        np.subtract(t, q, out=dst)
+        dst *= k / (k + 1)
+        dst += t
+        q, p = p, dst
+    return rows
+
+
+def legendre_vander(x: np.ndarray, n_terms: int) -> np.ndarray:
+    """The n_terms x x.size matrix of normalized Legendre polynomials
+    Pbar_k(x) = sqrt(k + 1/2) P_k(x), k < n_terms, unit norm on [-1, 1]."""
+    rows = _legendre_rows(np.asarray(x, dtype=float), n_terms - 1, 0)
+    rows *= np.sqrt(np.arange(n_terms) + 0.5)[:, None]
+    return rows
 
 
 _MAX_NEWTON_PASSES = 10
 
 
 @lru_cache(maxsize=64)
-def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], and the rows
+    w_r Pbar_k(x_r) of the discrete Legendre transform for the top n // 8
+    degrees k below n, computed once per n.
 
     Newton's method on P_n, from Tricomi's asymptotic guesses for the ceil(n/2)
     nodes in [0, 1), stops once no node moves by more than 4 ulp of 1: three
-    passes for every n from 208 on, at most four below. The weights are
-    2/((1 - x^2) P_n'(x)^2) from one more pass at the converged nodes. The
-    negative half is the mirror image, so the rule is exactly antisymmetric
-    and an odd rule has its centre node at 0.
+    recurrence passes for every n from 208 on, at most four below, and none
+    after.  Each pass keeps P_k for the top degrees.  The pass that stops
+    carries P_n' and those rows to first order over the last move of each node
+    (the step as rounded into the node, at most a few ulp), through
+    P_n'' = (2x P_n' - n(n+1) P_n) / (1 - x^2) and
+    P_k' = k (x P_k - P_{k-1}) / (x^2 - 1); what is left is of the order of the
+    move squared, far below rounding.  The weights are
+    2/((1 - x^2) P_n'(x)^2).  The negative half is the mirror image,
+    P_k(-x) = (-1)^k P_k(x), so the rule is exactly antisymmetric and an odd
+    rule has its centre node at 0.
     """
     k = np.arange(1, (n + 1) // 2 + 1)
     x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
     if n % 2:
         x[-1] = 0.0  # the recurrence gives P_n(0) = 0 exactly, so Newton keeps it
+    first = n - n // 8  # the lowest tail degree
     for _ in range(_MAX_NEWTON_PASSES):
-        p, dp = _legendre_and_derivative(n, x)
+        rows = _legendre_rows(x, n, first - 1)
+        p = rows[-1]
+        dp = n * (x * p - rows[-2]) / (x * x - 1.0)
         step = p / dp
-        x -= step
         if np.max(np.abs(step)) <= 4.0 * np.finfo(float).eps:
             break
+        x -= step
     else:
         raise RuntimeError(f"Gauss-Legendre nodes for n = {n} did not converge")
-    _, dp = _legendre_and_derivative(n, x)
+    x_new = x - step
+    moved = x - x_new  # exact (Sterbenz): step as rounded into the nodes
+    one_minus_x2 = 1.0 - x * x
+    dp -= moved * (2.0 * x * dp - n * (n + 1) * p) / one_minus_x2
+    degree = np.arange(first, n)[:, None]
+    tail = rows[1:-1]
+    tail += moved * degree * (x * tail - rows[:-2]) / one_minus_x2
+    x = x_new
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     half = n // 2
     x = np.concatenate((-x[:half], x[::-1]))
     w = np.concatenate((w[:half], w[::-1]))
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    tail = np.concatenate((tail[:, :half] * (1 - 2 * (degree % 2)), tail[:, ::-1]), axis=1)
+    tail *= np.sqrt(degree + 0.5) * w
+    for a in (x, w, tail):
+        a.setflags(write=False)
+    return x, w, tail
 
 
 def build_grid(lo: float, hi: float, n: int) -> FrequencyGrid:
@@ -127,34 +164,10 @@ def build_grid(lo: float, hi: float, n: int) -> FrequencyGrid:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
-    x, w = _legendre_rule(n)
+    x, w, _ = _legendre_rule(n)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     return FrequencyGrid(nodes=mid + half * x, weights=half * w, lo=lo, hi=hi)
-
-
-@lru_cache(maxsize=64)
-def _legendre_tail_rows(n: int) -> np.ndarray:
-    """Read-only rows w_r Pbar_k(x_r) of the discrete Legendre transform on the
-    n-point Gauss rule, for the top n // 8 degrees k below n, computed once per
-    n.  Pbar_k = sqrt(k + 1/2) P_k is the normalized Legendre polynomial."""
-    x, w = _legendre_rule(n)
-    first = n - n // 8
-    rows = np.empty((n // 8, n))
-    p, q = x.copy(), np.ones_like(x)  # P_k and P_{k-1}, from k = 1
-    t = np.empty_like(x)
-    for k in range(1, n - 1):
-        # the recurrence of _legendre_and_derivative, written over P_{k-1}
-        np.multiply(x, p, out=t)
-        np.subtract(t, q, out=q)
-        q *= k / (k + 1)
-        q += t
-        p, q = q, p
-        if k + 1 >= first:
-            rows[k + 1 - first] = p
-    rows *= np.sqrt(np.arange(first, n) + 0.5)[:, None] * w
-    rows.setflags(write=False)
-    return rows
 
 
 def legendre_tail(values: np.ndarray) -> float:
@@ -174,12 +187,13 @@ def legendre_tail(values: np.ndarray) -> float:
     n_s, n_i = v.shape
     if min(n_s, n_i) < 8:
         raise ValueError(f"need at least 8 nodes per axis, got {v.shape}")
-    w_s, w_i = _legendre_rule(n_s)[1], _legendre_rule(n_i)[1]
+    _, w_s, rows_s = _legendre_rule(n_s)
+    _, w_i, rows_i = _legendre_rule(n_i)
     energy = w_s @ np.abs(v) ** 2 @ w_i
     if energy == 0.0:
         return 0.0
-    tail_s = np.sum(np.abs(_legendre_tail_rows(n_s) @ v) ** 2 @ w_i)
-    tail_i = np.sum(w_s @ np.abs(v @ _legendre_tail_rows(n_i).T) ** 2)
+    tail_s = np.sum(np.abs(rows_s @ v) ** 2 @ w_i)
+    tail_i = np.sum(w_s @ np.abs(v @ rows_i.T) ** 2)
     return float(np.sqrt(max(tail_s, tail_i) / energy))
 
 

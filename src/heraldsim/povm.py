@@ -32,7 +32,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import FrequencyGrid, build_grid, fix_column_phases, hermitian_eigen
+from .numerics import (
+    FrequencyGrid,
+    build_grid,
+    fix_column_phases,
+    hermitian_eigen,
+    legendre_vander,
+)
 
 
 @dataclass(frozen=True)
@@ -99,9 +105,9 @@ def _prolate_expansion(c: float, m_modes: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Legendre coefficients of the top m_modes prolate functions and
     the spectrum of the expansion, computed once per (c, m_modes).
 
-    Returns the N x m_modes coefficients in the unnormalized basis P_k, unit
-    norm on [-1, 1] once multiplied by sqrt(k + 1/2), and the N eigenvalues chi
-    in descending order.
+    Returns the N x m_modes coefficients in the normalized basis
+    sqrt(k + 1/2) P_k, so each column has unit norm on [-1, 1], and the N
+    eigenvalues chi in descending order.
 
     Each parity block of the prolate operator is solved on N / 2 Legendre
     coefficients beta; its eigenvalues, ascending, give the modes n = 0, 2, 4,
@@ -174,11 +180,10 @@ def detection_modes(d: DetectorParams, n_grid: int = 256, m_modes: int = 12) -> 
     c = d.c
     coef, chi = _prolate_expansion(c, m_modes)
     n_terms = chi.size
-    scale = np.sqrt(np.arange(n_terms) + 0.5)  # P_k -> normalized P_k
     # unit-norm psi on [-1, 1] becomes (1/2pi) integral phi^2 dw = 1 on the band
-    coef = coef * (scale[:, None] * np.sqrt(4.0 * np.pi / d.B))
+    coef = coef * np.sqrt(4.0 * np.pi / d.B)
     x = grid.nodes * (2.0 / d.B)
-    np.matmul(np.polynomial.legendre.legvander(x, n_terms - 1), coef, out=phi.T)
+    np.matmul(coef.T, legendre_vander(x, n_terms), out=phi)
 
     fix_column_phases(phi.T)
 

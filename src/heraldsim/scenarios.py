@@ -567,29 +567,26 @@ def format_sweep_json(rows: list[tuple[float, float, MetricsReport]]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _write_table(path: Path, header: str, columns: list[np.ndarray]) -> None:
+    """A CSV file of equal-length columns, each value written as by ``_fmt``."""
+    rows = np.column_stack(columns).tolist()  # Python floats format fastest
+    lines = [header] + [",".join([f"{v:.9g}" for v in row]) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def dump_mode_tables(result: PipelineResult, directory: str | Path) -> None:
     """Write (omega, phi_m) and (omega_i, eigenmode_n) sample tables of the
     first DUMP_MODES modes for external plotting."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    modes = result.modes
-    k = min(DUMP_MODES, modes.modes.shape[0])
-    header = "omega," + ",".join(f"phi_{m}" for m in range(k))
-    lines = [header]
-    for j, w in enumerate(modes.grid_s.nodes):
-        lines.append(",".join([_fmt(w)] + [_fmt(modes.modes[m, j]) for m in range(k)]))
-    (directory / "detection_modes.csv").write_text("\n".join(lines) + "\n")
+    phi = result.modes.modes[:DUMP_MODES]
+    header = "omega," + ",".join(f"phi_{m}" for m in range(len(phi)))
+    _write_table(directory / "detection_modes.csv", header,
+                 [result.modes.grid_s.nodes, *phi])
 
-    state = result.state
-    k = min(DUMP_MODES, state.eigenmodes.shape[1])
+    e = result.state.eigenmodes[:, :DUMP_MODES]
     header = "omega_i," + ",".join(
-        f"mode_{n}_re,mode_{n}_im" for n in range(k))
-    lines = [header]
-    for j, w in enumerate(state.grid_i.nodes):
-        cells = [_fmt(w)]
-        for n in range(k):
-            cells += [_fmt(state.eigenmodes[j, n].real),
-                      _fmt(state.eigenmodes[j, n].imag)]
-        lines.append(",".join(cells))
-    (directory / "idler_modes.csv").write_text("\n".join(lines) + "\n")
+        f"mode_{n}_re,mode_{n}_im" for n in range(e.shape[1]))
+    _write_table(directory / "idler_modes.csv", header,
+                 [result.state.grid_i.nodes, *(p for col in e.T for p in (col.real, col.imag))])

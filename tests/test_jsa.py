@@ -190,6 +190,8 @@ class TestRealField:
         wi = build_grid(-w_i, w_i, 768).nodes[None, :]
         pump = jsa_amplitude(replace(p, mu_s=0.0, mu_i=0.0), ws, wi)
         want = np.exp(-((ws + wi) ** 2) / (2.0 * p.sigma**2))
+        # exp itself wherever it is a normal float, exactly 0 elsewhere
+        want[want < np.finfo(float).tiny] = 0.0
         assert np.mean(want == 0.0) > 0.3  # the floor is crossed on this grid
         assert pump.dtype == want.dtype
         assert np.array_equal(pump.view(np.int64), want.view(np.int64))

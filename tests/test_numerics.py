@@ -1,16 +1,64 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from heraldsim import numerics
 from heraldsim.numerics import (
     _legendre_rule,
     build_grid,
     hermitian_eigen,
     legendre_tail,
+    legendre_vander,
     rms_time_width,
     sinc,
 )
+
+REPO = Path(__file__).resolve().parents[1]
+
+# Gauss-Legendre weights to 40 digits (mpmath, 60-digit Newton on the
+# recurrence): the centre node n // 2 of the ascending rule, then the 8 nodes
+# nearest +1 in ascending order
+WEIGHTS_40 = {
+    256: (
+        "0.01224767164028975590407032648971844135729",
+        "0.001160843557567724723970598113460605721716",
+        "0.001011424393208440452605812841425374977375",
+        "0.0008618537014200890378140934162509687758914",
+        "0.0007121541634733206669089891511233901501971",
+        "0.0005623489540314098028152367475927053288565",
+        "0.0004124632544261763284321858377358707992834",
+        "0.0002625349442964459062874575624994967327247",
+        "0.0001127890178222721755125388772498376055902",
+    ),
+    360: (
+        "0.008714451620385730224712952407954839690661",
+        "0.0005881125665986018625915343883309952335719",
+        "0.000512321270708642703971360082803399858693",
+        "0.0004364911669797053774762716821672152374765",
+        "0.0003606281377714438824368631566869935298177",
+        "0.00028473830792149613873719116364446433501",
+        "0.0002088288121060538470843005602315180457668",
+        "0.000132913208730391145364014599050368722274",
+        "0.00005709977917366823976526527101827942654587",
+    ),
+    768: (
+        "0.00408794460134181810599921970907215175061",
+        "0.0001294914625472838870266679925310150524032",
+        "0.0001127874758170570632739999421182879470578",
+        "0.00009608162609380794717612541320368320461074",
+        "0.00007937421975252693487486411044483798957566",
+        "0.00006266561599843194923302312584608141216991",
+        "0.0000459563958165165253771457071916418507309",
+        "0.00002924855339195397923090402019679189122721",
+        "0.0000125649265012237476940767246562995814111",
+    ),
+}
 
 
 class TestBuildGrid:
@@ -73,6 +121,14 @@ class TestBuildGrid:
         if n % 2:
             assert g.nodes[n // 2] == 0.0
 
+    @pytest.mark.parametrize("n", sorted(WEIGHTS_40))
+    def test_weights_match_40_digit_values(self, n):
+        # the largest error sits next to the end nodes: 7.2e-13, 2.1e-12 and
+        # 3.8e-12 relative at n = 256, 360 and 768
+        w = _legendre_rule(n)[1][[n // 2, *range(n - 8, n)]]
+        want = np.array([float(v) for v in WEIGHTS_40[n]])
+        assert np.max(np.abs(w / want - 1.0)) <= 1e-11
+
     def test_weights_sum_to_two_for_every_small_n(self):
         for n in range(2, 201):
             g = build_grid(-1.0, 1.0, n)
@@ -92,6 +148,63 @@ def _normalized_legendre(coefs, x):
     """sum_k coefs[k] sqrt(k + 1/2) P_k(x): unit norm on [-1, 1] per term."""
     coefs = np.asarray(coefs)
     return np.polynomial.legendre.legval(x, coefs * np.sqrt(np.arange(coefs.size) + 0.5))
+
+
+class TestLegendreRecurrence:
+    @pytest.mark.parametrize("n_terms", [60, 256, 272])
+    @pytest.mark.parametrize("band", [False, True])
+    def test_vander_matches_numpy_legvander(self, n_terms, band):
+        # below, at and above the 256 nodes, on the rule and on a band grid
+        # (c = 220 with 12 modes needs N = 272 terms there); |Pbar_k| <=
+        # sqrt(k + 1/2) on [-1, 1] sets the scale of each row
+        b = 4.0 * np.pi
+        x = build_grid(-0.5 * b, 0.5 * b, 256).nodes * (2.0 / b) if band else _legendre_rule(256)[0]
+        scale = np.sqrt(np.arange(n_terms) + 0.5)[:, None]
+        want = np.polynomial.legendre.legvander(x, n_terms - 1).T * scale
+        assert np.max(np.abs(legendre_vander(x, n_terms) - want) / scale) <= 1e-13
+
+    def test_vander_small_orders(self):
+        x = np.array([-0.5, 0.0, 0.25])
+        assert np.array_equal(legendre_vander(x, 1), np.full((1, 3), np.sqrt(0.5)))
+        assert np.array_equal(legendre_vander(x, 2)[1], np.sqrt(1.5) * x)
+
+    @pytest.mark.parametrize("n", [256, 384, 768])
+    def test_rule_runs_the_recurrence_three_times(self, n, monkeypatch):
+        calls = []
+        rows = numerics._legendre_rows
+
+        def counted(*args):
+            calls.append(args[1])
+            return rows(*args)
+
+        monkeypatch.setattr(numerics, "_legendre_rows", counted)
+        x, w, tail = _legendre_rule.__wrapped__(n)
+        assert calls == [n, n, n]
+        assert np.array_equal(x, _legendre_rule(n)[0])
+        assert tail.shape == (n // 8, n)
+
+    @pytest.mark.parametrize("n", [8, 33, 256, 360])
+    def test_tail_rows_are_the_weighted_top_degrees(self, n):
+        x, w, tail = _legendre_rule(n)
+        first = n - n // 8
+        want = np.polynomial.legendre.legvander(x, n - 1)[:, first:].T * w
+        want *= np.sqrt(np.arange(first, n) + 0.5)[:, None]
+        assert np.max(np.abs(tail - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("argv", [
+        ["preset", "fig4"],
+        ["preset", "fig1", "--dump-modes", "{tmp}"],
+    ])
+    def test_pipeline_does_not_import_numpy_polynomial(self, argv, tmp_path):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code = ("import sys\n"
+                "from heraldsim import cli\n"
+                f"assert cli.main({argv!r}) == 0\n"
+                "assert 'numpy.polynomial' not in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestLegendreTail:
