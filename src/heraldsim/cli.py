@@ -83,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
                     if getattr(args, k) is not None)
         scenario = scenario_from_dict(data)
 
-        if scenario.sweep is not None and args.command in ("sweep", "preset"):
+        if scenario.sweep is not None:
             rows = run_sweep(scenario)
             text = (format_sweep_json(rows) if scenario.output_format == "json"
                     else format_sweep_csv(rows))

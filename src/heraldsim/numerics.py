@@ -8,9 +8,13 @@ Newton passes of the Gauss-Legendre rule, the rule's weights and tail rows,
 and the detection modes (``legendre_vander``).  The rule takes three passes
 over the n/2 nonnegative nodes (four below n = 208), O(n^2) arithmetic in O(n)
 vectorized steps per pass, where numpy's ``leggauss`` solves a dense n x n
-eigenproblem.  Its nodes agree with ``leggauss`` to one ulp; its weights are
-within 4e-12 relative of 40-digit values at n = 256, 360 and 768, where those
-of ``leggauss`` are off by 5e-11 and 9e-10 at n = 360 and 768.
+eigenproblem.  Its nodes agree with ``leggauss`` to one ulp.  Against 40-digit
+values at the centre node and the 8 nodes nearest +1, its weights are within
+4e-12 relative at n = 256, 360, 384, 512, 768 and 1024, where those of
+``leggauss`` are off by 5e-11 and 9e-10 at n = 360 and 768.  At n = 1536 the
+end node's weight is off by 3.8e-11: w = 2/((1 - x^2) P_n'(x)^2) turns a
+node's rounding error delta into a relative weight error of up to
+2 delta / (1 - x^2), and 1 - x^2 = 2.4e-6 there.
 
 All functions but ``fix_column_phases``, which works in place, are pure;
 ``FrequencyGrid`` is immutable and safe to share across threads.

@@ -69,27 +69,21 @@ class DetectionModeSet:
     """Top detection modes phi_m on the filter band with eigenvalues chi_m.
 
     Modes are normalized so (1/2pi) integral phi_m phi_n dw = delta_mn.
-    chi holds the retained eigenvalues (descending); chi_all the spectrum of
-    the Legendre expansion, n_grid values whose sum is the operator trace
-    2c/pi.  When the expansion has fewer terms than the grid has nodes, chi_all
-    is padded with zeros, in place of eigenvalues below rounding noise.
+    chi holds the M retained eigenvalues (descending); chi_all is the spectrum
+    of the Legendre expansion, its N values (``_legendre_terms``) summing to
+    the operator trace 2c/pi.  It does not depend on the grid.
     """
 
     grid_s: FrequencyGrid
     modes: np.ndarray  # shape (M, n_grid)
     chi: np.ndarray
     chi_all: np.ndarray
-    c: float
 
     def __post_init__(self):
         for name in ("modes", "chi", "chi_all"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def n_modes(self) -> int:
-        return self.chi.size
 
 
 def _legendre_terms(c: float, m_modes: int) -> int:
@@ -153,12 +147,13 @@ def _prolate_expansion(c: float, m_modes: int) -> tuple[np.ndarray, np.ndarray]:
     return coef, chi
 
 
-def detection_modes(d: DetectorParams, n_grid: int = 256, m_modes: int = 12) -> DetectionModeSet:
+def detection_modes(d: DetectorParams, n_grid: int, m_modes: int) -> DetectionModeSet:
     """Eigenmodes and eigenvalues of the band-limiting/time-windowing operator.
 
-    Returns the top ``m_modes`` eigenpairs, the modes sampled on a
-    Gauss-Legendre grid over [-B/2, B/2].  Sign convention: every mode is
-    positive at its first node above 1e-8 of its largest magnitude
+    Returns the top ``m_modes`` eigenpairs, the modes sampled on an
+    ``n_grid``-node Gauss-Legendre grid over [-B/2, B/2], and as ``chi_all``
+    the expansion spectrum: its N values sum to 2c/pi.  Sign convention: every
+    mode is positive at its first node above 1e-8 of its largest magnitude
     (``numerics.fix_column_phases``).
 
     The Legendre coefficients and eigenvalues depend only on c and m_modes
@@ -171,14 +166,12 @@ def detection_modes(d: DetectorParams, n_grid: int = 256, m_modes: int = 12) -> 
         raise ValueError(f"need n_grid >= 4*m_modes, got {n_grid} < {4 * m_modes}")
 
     grid = build_grid(-0.5 * d.B, 0.5 * d.B, n_grid)
-    # allocate the returned arrays before the temporaries: the temporaries then
+    # allocate the returned modes before the temporaries: the temporaries then
     # lie above every live array on the heap, so freeing them returns the
     # memory instead of leaving holes that raise the peak RSS of the JSA stage
     # that follows
     phi = np.empty((m_modes, n_grid))
-    chi_all = np.zeros(n_grid)
-    c = d.c
-    coef, chi = _prolate_expansion(c, m_modes)
+    coef, chi = _prolate_expansion(d.c, m_modes)
     n_terms = chi.size
     # unit-norm psi on [-1, 1] becomes (1/2pi) integral phi^2 dw = 1 on the band
     coef = coef * np.sqrt(4.0 * np.pi / d.B)
@@ -186,16 +179,7 @@ def detection_modes(d: DetectorParams, n_grid: int = 256, m_modes: int = 12) -> 
     np.matmul(coef.T, legendre_vander(x, n_terms), out=phi)
 
     fix_column_phases(phi.T)
-
-    n_kept = min(n_terms, n_grid)
-    chi_all[:n_kept] = chi[:n_kept]
-    return DetectionModeSet(
-        grid_s=grid,
-        modes=phi,
-        chi=chi_all[:m_modes],
-        chi_all=chi_all,
-        c=c,
-    )
+    return DetectionModeSet(grid_s=grid, modes=phi, chi=chi[:m_modes], chi_all=chi)
 
 
 def povm_weights(modes: DetectionModeSet, eta: float) -> np.ndarray:

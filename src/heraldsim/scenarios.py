@@ -25,7 +25,6 @@ from .numerics import build_grid, legendre_tail
 from .povm import (
     DetectionModeSet,
     DetectorParams,
-    _legendre_terms,
     detection_modes,
     povm_weights,
 )
@@ -39,7 +38,7 @@ from .units import (
 DEFAULT_N_SIGNAL = 256
 DEFAULT_N_IDLER = 384
 DEFAULT_M_MODES = 12
-# run_scenario doubles the grids at most MAX_REFINEMENTS = 3 times, to 8x
+# the most times run_scenario doubles both grids
 MAX_REFINEMENTS = 3
 # A level is resolved when the top n // 8 Legendre degrees of its joint
 # amplitude fields hold at most this share of their weight (legendre_tail).
@@ -90,14 +89,13 @@ def _stage(name: str):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    param: str
+    """``count`` evenly spaced windows T from ``start`` to ``stop``."""
+
     start: float
     stop: float
     count: int
 
     def __post_init__(self):
-        if self.param != "T":
-            raise ConfigError(f"only sweeps over T are supported, got {self.param!r}")
         if not (0 < self.start <= self.stop and math.isfinite(self.stop)):
             raise ConfigError("sweep bounds must be finite, positive and ordered")
         if self.count < 1:
@@ -259,7 +257,7 @@ def evaluate_pipeline(
 
     report = MetricsReport(p_pair=p_pair, p_s=p_s, d_s=d_s, h=h,
                            t_min=tmin, r_abs=r_abs, practical_rate=practical)
-    resolved = samples.tail <= CHOP_TOL and _legendre_terms(detector.c, m) <= n_s
+    resolved = samples.tail <= CHOP_TOL and modes.chi_all.size <= n_s
     return PipelineResult(report=report, modes=modes, state=state,
                           n_signal=n_s, n_idler=n_idler, resolved=resolved)
 
@@ -276,10 +274,10 @@ def run_scenario(
     of their weight in their top Legendre degrees and its signal grid holds
     every Legendre term of the detection modes (``PipelineResult.resolved``),
     so each level certifies itself and no finer level is evaluated to check
-    it.  The first resolved level is returned.  At most MAX_REFINEMENTS = 3
-    doublings are made, to 8x the starting grids; when none of the four levels
-    is resolved, the finest is returned with ``resolved`` False.  With
-    ``refine`` False the first level is returned, resolved or not.
+    it.  The first resolved level is returned.  At most MAX_REFINEMENTS
+    doublings are made; when no level is resolved, the finest is returned with
+    ``resolved`` False.  With ``refine`` False the first level is returned,
+    resolved or not.
     ``source_samples`` is passed on to ``evaluate_pipeline``."""
     n_s, n_i = s.n_signal, s.n_idler
     for level in range(MAX_REFINEMENTS + 1 if refine else 1):
@@ -292,7 +290,7 @@ def run_scenario(
     return result
 
 
-def run_sweep(s: Scenario, refine: bool = True) -> list[tuple[float, float, MetricsReport]]:
+def run_sweep(s: Scenario) -> list[tuple[float, float, MetricsReport]]:
     """Evaluate the scenario at each sweep point; rows ascend in T.
 
     Only the detection modes depend on T, so the source is sampled once per
@@ -306,7 +304,7 @@ def run_sweep(s: Scenario, refine: bool = True) -> list[tuple[float, float, Metr
     for t_value in s.sweep.values():
         detector = replace(s.detector, T=float(t_value))
         point = replace(s, detector=detector, sweep=None)
-        result = run_scenario(point, refine=refine, source_samples=source_samples)
+        result = run_scenario(point, source_samples=source_samples)
         rows.append((float(t_value), detector.c, result.report))
     return rows
 
@@ -404,7 +402,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             if missing:
                 raise ConfigError(f"missing physical-source keys: {sorted(missing)}")
             # laboratory units to model parameters in SI units
-            ps = PhysicalSource(**{k: fget(k) for k in sorted(_PHYSICAL_KEYS)}, kappa=kappa)
+            ps = PhysicalSource(**{k: fget(k) for k in sorted(_PHYSICAL_KEYS)})
             sigma = pump_bandwidth_to_sigma(ps.pump_bandwidth_fwhm_nm, ps.pump_wavelength_nm)
             band = wavelength_band_to_angular_bandwidth(ps.signal_center_wavelength_nm,
                                                         ps.filter_bandwidth_nm)
@@ -425,14 +423,17 @@ def scenario_from_dict(data: dict) -> Scenario:
                 or any(isinstance(part, bool) for part in parts)):
             raise ConfigError(f"key 'sweep': expected '<param> <start> <stop> "
                               f"<count>', got {raw!r}")
+        param = str(parts[0])
         try:
-            sweep = SweepSpec(param=str(parts[0]), start=float(parts[1]),
-                              stop=float(parts[2]),
-                              count=integral(float(parts[3]), "sweep count"))
+            start, stop = float(parts[1]), float(parts[2])
+            count = integral(float(parts[3]), "sweep count")
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"key 'sweep': invalid spec {raw!r}") from exc
+        if param != "T":
+            raise ConfigError(f"only sweeps over T are supported, got {param!r}")
+        sweep = SweepSpec(start=start, stop=stop, count=count)
 
     output_path = data.get("output_path")
     if output_path is not None and not isinstance(output_path, str):
@@ -522,48 +523,49 @@ def preset(name: str) -> Scenario:
 # output formatting
 # ---------------------------------------------------------------------------
 
-def _fmt(x: Optional[float]) -> str:
-    return "" if x is None else f"{x:.9g}"
+def _fmt(x: Optional[float | str]) -> str:
+    """A CSV cell: a number to 9 significant digits, a name as it is, None empty."""
+    return "" if x is None else x if isinstance(x, str) else f"{x:.9g}"
 
 
-def report_row(s: Scenario, report: MetricsReport) -> list[str]:
-    return [
-        s.name,
-        _fmt(s.source.sigma), _fmt(s.source.mu_s), _fmt(s.source.mu_i),
-        _fmt(s.detector.B), _fmt(s.detector.T), _fmt(s.detector.c),
-        _fmt(report.p_pair), _fmt(report.p_s), _fmt(report.d_s),
-        _fmt(report.h), _fmt(report.t_min), _fmt(report.r_abs),
-        _fmt(report.practical_rate),
-    ]
+def _json_value(x: Optional[float | str]):
+    """A value as the JSON writer gives it: the number its CSV cell prints."""
+    return x if x is None or isinstance(x, str) else float(_fmt(x))
+
+
+def _report_values(s: Scenario, report: MetricsReport) -> tuple:
+    """The report row, in CSV_COLUMNS order."""
+    return (s.name, s.source.sigma, s.source.mu_s, s.source.mu_i,
+            s.detector.B, s.detector.T, s.detector.c,
+            report.p_pair, report.p_s, report.d_s, report.h, report.t_min,
+            report.r_abs, report.practical_rate)
+
+
+def _sweep_values(row: tuple[float, float, MetricsReport]) -> tuple:
+    """A sweep row, in SWEEP_COLUMNS order."""
+    t_value, c, report = row
+    return (t_value, c, report.h, report.d_s, report.t_min, report.r_abs)
 
 
 def format_report_csv(s: Scenario, report: MetricsReport) -> str:
-    return ",".join(CSV_COLUMNS) + "\n" + ",".join(report_row(s, report)) + "\n"
+    values = _report_values(s, report)
+    return ",".join(CSV_COLUMNS) + "\n" + ",".join(map(_fmt, values)) + "\n"
 
 
 def format_report_json(s: Scenario, report: MetricsReport) -> str:
-    payload = dict(zip(CSV_COLUMNS, report_row(s, report)))
-    payload = {k: (v if k == "name" else (None if v == "" else float(v)))
-               for k, v in payload.items()}
+    payload = dict(zip(CSV_COLUMNS, map(_json_value, _report_values(s, report))))
     return json.dumps(payload, indent=2) + "\n"
 
 
 def format_sweep_csv(rows: list[tuple[float, float, MetricsReport]]) -> str:
-    out = [",".join(SWEEP_COLUMNS)]
-    for t_value, c, report in rows:
-        out.append(",".join(_fmt(v) for v in
-                            (t_value, c, report.h, report.d_s, report.t_min,
-                             report.r_abs)))
-    return "\n".join(out) + "\n"
+    lines = [",".join(SWEEP_COLUMNS)]
+    lines += [",".join(map(_fmt, _sweep_values(row))) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def format_sweep_json(rows: list[tuple[float, float, MetricsReport]]) -> str:
-    payload = [
-        {k: float(_fmt(v)) for k, v in
-         zip(SWEEP_COLUMNS, (t_value, c, report.h, report.d_s, report.t_min,
-                             report.r_abs))}
-        for t_value, c, report in rows
-    ]
+    payload = [dict(zip(SWEEP_COLUMNS, map(_json_value, _sweep_values(row))))
+               for row in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 

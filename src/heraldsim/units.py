@@ -25,7 +25,6 @@ class PhysicalSource:
     fiber_length_m: float
     beta2: float
     beta3: float
-    kappa: float = 0.1
 
     def __post_init__(self):
         for name in ("pump_wavelength_nm", "signal_center_wavelength_nm"):

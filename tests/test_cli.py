@@ -1,10 +1,14 @@
+import argparse
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from heraldsim import cli, scenarios
 from heraldsim.scenarios import (
+    PRESET_NAMES,
     PRESETS,
     StageError,
     format_report_csv,
@@ -264,6 +268,39 @@ class TestPresetCommand:
         assert capsys.readouterr().out == from_file
         assert json.loads(from_file)["name"] == "fig3"
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_run_on_the_preset_keys_prints_what_preset_prints(self, name, tmp_path, capsys):
+        cfg = tmp_path / f"{name}.cfg"
+        keys = {"name": name, **PRESETS[name]}
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        assert cli.main(["run", str(cfg)]) == 0
+        from_file = capsys.readouterr().out
+        assert cli.main(["preset", name]) == 0
+        assert capsys.readouterr().out == from_file
+
     def test_unknown_preset_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             cli.main(["preset", "fig99"])
+
+
+def test_readme_flag_table_lists_the_parser_options():
+    """README's table of common flags names every option of run, sweep and
+    preset, each with the config key that its argparse dest sets."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("| flag | config key | meaning |"):].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        # a cell may hold an escaped pipe, as in `--format csv\|json`
+        flag, key = (cell.strip().strip("`") for cell in re.split(r"(?<!\\)\|", line)[1:3])
+        rows[flag.split()[0]] = key
+    assert rows["--dump-modes"] == "—"
+    assert {k for k in rows.values() if k != "—"} == set(cli._FLAG_KEYS)
+
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command in ("run", "sweep", "preset"):
+        dests = {opt: action.dest for action in subparsers.choices[command]._actions
+                 for opt in action.option_strings if opt not in ("-h", "--help")}
+        assert set(dests) == set(rows), command
+        for flag, dest in dests.items():
+            assert rows[flag] == ("—" if flag == "--dump-modes" else dest), flag

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import assume, example, given, settings, strategies as st
 
 from heraldsim.herald import (
     absolute_rate,
@@ -13,7 +14,7 @@ from heraldsim.jsa import SourceParams, jsa_norm, sample_jsa, separable_jsa
 from heraldsim.numerics import build_grid
 from heraldsim.povm import DetectorParams, detection_modes, povm_weights
 from heraldsim import scenarios
-from heraldsim.scenarios import evaluate_pipeline, preset
+from heraldsim.scenarios import Scenario, evaluate_pipeline, preset, run_scenario
 
 
 @pytest.fixture(scope="module")
@@ -327,17 +328,49 @@ class TestRates:
             practical_rate(1.0, 0.5, -0.1)
 
 
+def _run(sigma, mu_s, mu_i, B, T):
+    return run_scenario(Scenario(
+        name="drawn", source=SourceParams(sigma=sigma, mu_s=mu_s, mu_i=mu_i),
+        detector=DetectorParams(B=B, T=T)))
+
+
+# (sigma, mu_s, mu_i, B, T) of a source and window
+SOURCES = st.tuples(st.floats(0.5, 2.0), st.floats(-30.0, 30.0), st.floats(-30.0, 30.0),
+                    st.floats(0.5, 20.0), st.floats(0.05, 20.0))
+FIG3 = (1.0, 2.0, -1.0, 2 * np.pi, 0.5)
+
+
 class TestPipelineInvariants:
-    def test_scale_covariance(self):
-        base = evaluate_pipeline(SourceParams(sigma=1.0, mu_s=2.0, mu_i=-1.0),
-                                 DetectorParams(B=2 * np.pi, T=0.5))
-        scaled = evaluate_pipeline(SourceParams(sigma=2.0, mu_s=1.0, mu_i=-0.5),
-                                   DetectorParams(B=4 * np.pi, T=0.25))
-        a, b = base.report, scaled.report
-        assert b.h == pytest.approx(a.h, abs=1e-9)
-        assert b.d_s == pytest.approx(a.d_s, abs=1e-9)
-        assert b.t_min == pytest.approx(a.t_min / 2, rel=1e-9)
-        assert b.r_abs == pytest.approx(2 * a.r_abs, rel=1e-9)
+    @given(params=SOURCES, a=st.floats(0.3, 3.0))
+    @example(params=FIG3, a=2.0)
+    @settings(max_examples=25, deadline=None)
+    def test_scale_covariance(self, params, a):
+        # (sigma, mu, B, T) -> (a sigma, mu / a, a B, T / a) rescales every
+        # frequency by a and every time by 1 / a, so H and D_s stay and the
+        # times shrink by a
+        sigma, mu_s, mu_i, B, T = params
+        base = _run(*params).report
+        scaled = _run(a * sigma, mu_s / a, mu_i / a, a * B, T / a).report
+        assert scaled.h == pytest.approx(base.h, rel=0, abs=1e-12)
+        assert scaled.d_s == pytest.approx(base.d_s, rel=0, abs=1e-12)
+        assert a * scaled.t_min == pytest.approx(base.t_min, rel=1e-10)
+        assert scaled.r_abs / a == pytest.approx(base.r_abs, rel=1e-10)
+
+    @given(params=SOURCES)
+    @example(params=FIG3)
+    @settings(max_examples=25, deadline=None)
+    def test_resolved_results_are_bounded(self, params):
+        result = _run(*params)
+        assume(result.resolved)
+        report, modes, state = result.report, result.modes, result.state
+        assert 0.0 <= report.d_s <= 1.0
+        assert 0.0 < report.h <= 1.0
+        assert report.p_s <= report.p_pair
+        # H is at least the largest per-mode share of the click probability
+        field = sample_jsa(SourceParams(*params[:3]), modes.grid_s, state.grid_i)
+        collapsed = collapsed_wavefunctions(field, modes)
+        weighted = modes.chi * (np.abs(collapsed) ** 2 @ state.grid_i.weights)
+        assert report.h >= weighted.max() / weighted.sum() - 1e-12
 
     def test_bt_invariance_of_heralding_efficiency(self):
         # anti-correlated Gaussian that is flat across both filter bands

@@ -47,6 +47,28 @@ WEIGHTS_40 = {
         "0.000132913208730391145364014599050368722274",
         "0.00005709977917366823976526527101827942654587",
     ),
+    384: (
+        "0.00817051698671111073998031695777657468519",
+        "0.000517033045349154638070851592173620540253",
+        "0.0004503919137716877613812631428789938598204",
+        "0.0003837208020912924380769776054432472589978",
+        "0.0003170242698112706309204038817114533027701",
+        "0.0002503070890844147244367666054448758157687",
+        "0.0001835749193551260444766282687846522708966",
+        "0.0001168390665730188627954282573513175982201",
+        "0.00005019410348692173752939580444474545030871",
+    ),
+    512: (
+        "0.006129905175405785759156351067049341671937",
+        "0.0002911054302514885125319368526081104574601",
+        "0.0002535665435705865135865814668416902760329",
+        "0.0002160181779769908583388096923337495777817",
+        "0.0001784618055459532946077108721438631429969",
+        "0.0001408990173881984930124330727260836632872",
+        "0.0001033319034969132362968180117124963958917",
+        "0.00006576573165924019583101442293512615753429",
+        "0.00002825263737393469203874501078451898497295",
+    ),
     768: (
         "0.00408794460134181810599921970907215175061",
         "0.0001294914625472838870266679925310150524032",
@@ -57,6 +79,28 @@ WEIGHTS_40 = {
         "0.0000459563958165165253771457071916418507309",
         "0.00002924855339195397923090402019679189122721",
         "0.0000125649265012237476940767246562995814111",
+    ),
+    1024: (
+        "0.003066460309243908211551278492051043539111",
+        "0.00007286798631902746613667879090903704100879",
+        "0.00006346712685980442299328849708007353086387",
+        "0.00005406568289394000719879177977020036001277",
+        "0.00004466375812857533938383476745275342000235",
+        "0.00003526148598719869750666728379359541906514",
+        "0.00002585912467646185867157669636716019832048",
+        "0.00001645772757989686810680579875671040848569",
+        "0.000007070076410182589871295805175639999432512",
+    ),
+    1536: (
+        "0.00204464096683902030616957268591424993036",
+        "0.00003239800730583026899006640713580589801606",
+        "0.00002821791283477775856531783853619735837368",
+        "0.00002403770585968651029362125448648612291751",
+        "0.00001985741065987670454180922553020789490406",
+        "0.00001567706472452444466259585704072989380237",
+        "0.0000114967610186203439220607909562003513179",
+        "0.000007316946032956578863012167907710411660407",
+        "0.000003143280544300424052208816662687061255513",
     ),
 }
 
@@ -123,11 +167,15 @@ class TestBuildGrid:
 
     @pytest.mark.parametrize("n", sorted(WEIGHTS_40))
     def test_weights_match_40_digit_values(self, n):
-        # the largest error sits next to the end nodes: 7.2e-13, 2.1e-12 and
-        # 3.8e-12 relative at n = 256, 360 and 768
+        # the largest error sits next to the end nodes: 7.2e-13, 2.1e-12,
+        # 3.0e-12, 1.3e-12, 3.8e-12 and 4.6e-13 relative at n = 256, 360, 384,
+        # 512, 768 and 1024.  At n = 1536 it is 3.8e-11, at the end node:
+        # w = 2/((1 - x^2) P_n'(x)^2) turns a node's rounding error delta into
+        # a relative weight error of up to about 2 delta / (1 - x^2), and
+        # 1 - x^2 is 2.4e-6 there
         w = _legendre_rule(n)[1][[n // 2, *range(n - 8, n)]]
         want = np.array([float(v) for v in WEIGHTS_40[n]])
-        assert np.max(np.abs(w / want - 1.0)) <= 1e-11
+        assert np.max(np.abs(w / want - 1.0)) <= (1e-10 if n == 1536 else 1e-11)
 
     def test_weights_sum_to_two_for_every_small_n(self):
         for n in range(2, 201):

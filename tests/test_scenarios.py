@@ -96,8 +96,8 @@ class TestConfigParsing:
     def test_sweep_spec(self):
         s = scenario_from_dict({"sigma": 1, "mu_s": 0, "mu_i": 0, "B": 1,
                                 "T": 1, "sweep": "T 0.1 2.0 5"})
-        assert s.sweep == SweepSpec("T", 0.1, 2.0, 5)
-        with pytest.raises(ConfigError):
+        assert s.sweep == SweepSpec(0.1, 2.0, 5)
+        with pytest.raises(ConfigError, match="only sweeps over T are supported, got 'B'"):
             scenario_from_dict({"sigma": 1, "mu_s": 0, "mu_i": 0, "B": 1,
                                 "T": 1, "sweep": "B 0.1 2.0 5"})
 
@@ -213,7 +213,7 @@ class TestRunScenario:
     def test_single_point_sweep_matches_run(self):
         from dataclasses import replace
         s = preset("fig3")
-        swept = replace(s, sweep=SweepSpec("T", 0.5, 0.5, 1))
+        swept = replace(s, sweep=SweepSpec(0.5, 0.5, 1))
         rows = run_sweep(swept)
         assert len(rows) == 1
         t_value, c, report = rows[0]
@@ -222,8 +222,8 @@ class TestRunScenario:
 
     def test_sweep_rows_ascend(self):
         from dataclasses import replace
-        s = replace(preset("fig3"), sweep=SweepSpec("T", 0.2, 1.0, 4))
-        rows = run_sweep(s, refine=False)
+        s = replace(preset("fig3"), sweep=SweepSpec(0.2, 1.0, 4))
+        rows = run_sweep(s)
         ts = [row[0] for row in rows]
         assert ts == sorted(ts)
 
@@ -260,10 +260,10 @@ class TestSweepReuse:
     bit-identical to evaluating each point on its own."""
 
     @pytest.mark.parametrize("s", [
-        replace(preset("fig4"), sweep=SweepSpec("T", 0.1, 4.0, 5)),
+        replace(preset("fig4"), sweep=SweepSpec(0.1, 4.0, 5)),
         # M runs from 12 to 30 with c, so n_s = max(32, 4M) differs per point
-        replace(preset("fig3"), n_signal=32, sweep=SweepSpec("T", 0.1, 20.0, 5)),
-        replace(preset("fig4"), sweep=SweepSpec("T", 0.1, 4.0, 3),
+        replace(preset("fig3"), n_signal=32, sweep=SweepSpec(0.1, 20.0, 5)),
+        replace(preset("fig4"), sweep=SweepSpec(0.1, 4.0, 3),
                 source=replace(preset("fig4").source, include_group_delay_phase=True)),
     ], ids=["fig4", "n_s-varies", "group-delay-phase"])
     def test_sweep_equals_points(self, s):
@@ -280,14 +280,13 @@ class TestSweepReuse:
             return real(p, grid_s, grid_i)
 
         monkeypatch.setattr(scenarios, "sample_jsa", counting)
-        run_sweep(replace(preset("fig4"), sweep=SweepSpec("T", 0.1, 4.0, 5)),
-                  refine=True)
+        run_sweep(replace(preset("fig4"), sweep=SweepSpec(0.1, 4.0, 5)))
         # one full-support and one band field per (n_s, n_i) level; every
         # fig4 point is resolved at the first level
         assert len(levels) == 2 * len(set(levels)) == 2
         levels.clear()
         # every point of this sweep starts at n_s = 256 and refines twice
-        run_sweep(replace(DEFECT, sweep=SweepSpec("T", 20.0, 25.0, 3)), refine=True)
+        run_sweep(replace(DEFECT, sweep=SweepSpec(20.0, 25.0, 3)))
         assert len(levels) == 2 * len(set(levels)) == 6
 
 
@@ -398,6 +397,6 @@ class TestScenarioValidation:
 
     def test_sweep_bounds(self):
         with pytest.raises(ConfigError):
-            SweepSpec("T", -1.0, 2.0, 5)
+            SweepSpec(-1.0, 2.0, 5)
         with pytest.raises(ConfigError):
-            SweepSpec("T", 2.0, 1.0, 5)
+            SweepSpec(2.0, 1.0, 5)
