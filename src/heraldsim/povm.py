@@ -70,7 +70,7 @@ class DetectionModeSet:
 
     Modes are normalized so (1/2pi) integral phi_m phi_n dw = delta_mn.
     chi holds the M retained eigenvalues (descending); chi_all is the spectrum
-    of the Legendre expansion, its N values (``_legendre_terms``) summing to
+    of the Legendre expansion, its N values (``legendre_terms``) summing to
     the operator trace 2c/pi.  It does not depend on the grid.
     """
 
@@ -86,7 +86,7 @@ class DetectionModeSet:
             object.__setattr__(self, name, arr)
 
 
-def _legendre_terms(c: float, m_modes: int) -> int:
+def legendre_terms(c: float, m_modes: int) -> int:
     """Legendre terms N in each mode expansion, rounded up to even so that each
     parity block has N / 2; the coefficients of the top m_modes modes have
     fallen below double precision by then."""
@@ -111,7 +111,7 @@ def _prolate_expansion(c: float, m_modes: int) -> tuple[np.ndarray, np.ndarray]:
     and slope at x = 0 give |mu| = sqrt(2) beta_0 / psi(0) for even modes and
     c sqrt(2/3) beta_1 / psi'(0) for odd modes, and chi = c mu^2 / 2pi.
     """
-    n_terms = _legendre_terms(c, m_modes)
+    n_terms = legendre_terms(c, m_modes)
     k = np.arange(n_terms, dtype=float)
     diag = k * (k + 1) + c**2 * (2 * k * (k + 1) - 1) / ((2 * k + 3) * (2 * k - 1))
     k2 = k[:-2]
@@ -158,12 +158,12 @@ def detection_modes(d: DetectorParams, n_grid: int, m_modes: int) -> DetectionMo
 
     The Legendre coefficients and eigenvalues depend only on c and m_modes
     and are solved once per pair (``_prolate_expansion``); each grid only
-    evaluates the polynomials at its nodes.
+    evaluates the polynomials at its nodes, so any n_grid is accepted; from
+    N = ``legendre_terms(c, m_modes)`` nodes on, where the pipeline starts, the
+    Gauss rule integrates the modes' products exactly.
     """
     if m_modes < 1:
         raise ValueError(f"need at least one mode, got {m_modes}")
-    if n_grid < 4 * m_modes:
-        raise ValueError(f"need n_grid >= 4*m_modes, got {n_grid} < {4 * m_modes}")
 
     grid = build_grid(-0.5 * d.B, 0.5 * d.B, n_grid)
     # allocate the returned modes before the temporaries: the temporaries then

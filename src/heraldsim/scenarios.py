@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -26,6 +26,7 @@ from .povm import (
     DetectionModeSet,
     DetectorParams,
     detection_modes,
+    legendre_terms,
     povm_weights,
 )
 from .units import (
@@ -41,7 +42,8 @@ DEFAULT_M_MODES = 12
 # the most times run_scenario doubles both grids
 MAX_REFINEMENTS = 3
 # A level is resolved when the top n // 8 Legendre degrees of its joint
-# amplitude fields hold at most this share of their weight (legendre_tail).
+# amplitude fields hold at most this share of their weight (legendre_tail);
+# its signal grid already has n_s >= N, the terms of each mode's expansion.
 # The amplitude is entire, so its coefficients from degree n on are smaller
 # still, and a tail tau leaves each field a polynomial of degree < 7n/8 up to
 # a relative L2 remainder of about tau.  The Gauss rule integrates exactly the
@@ -141,8 +143,7 @@ class PipelineResult:
     state: HeraldedState
     n_signal: int
     n_idler: int
-    # the joint amplitude's Legendre tail is below CHOP_TOL and the grid
-    # holds every Legendre term of the detection modes
+    # the joint amplitude's Legendre tail is at most CHOP_TOL
     resolved: bool
 
 
@@ -213,14 +214,17 @@ def evaluate_pipeline(
 ) -> PipelineResult:
     """Run the full chain grids -> modes -> JSA -> collapse -> rho -> metrics.
 
-    Only the detection modes, and the stages after them, depend on the window
-    T.  The source stage (``sample_source``) depends on the source, B and the
-    grid sizes; ``source_samples``, when given, holds its results keyed by
-    (source, B, n_s, n_i) and gains an entry on each miss, so evaluations that
-    share a source and a grid level sample the joint amplitude once.
+    The signal grid has max(n_signal, N) nodes, N = ``legendre_terms(c, M)``
+    the terms of each detection mode's expansion, so it integrates the modes'
+    products exactly.  Only the detection modes, and the stages after them,
+    depend on the window T.  The source stage (``sample_source``) depends on
+    the source, B and the grid sizes; ``source_samples``, when given, holds its
+    results keyed by (source, B, n_s, n_i) and gains an entry on each miss, so
+    evaluations that share a source and a grid level sample the joint
+    amplitude once.
     """
     m = m_modes if m_modes is not None else auto_mode_count(detector.c)
-    n_s = max(n_signal, 4 * m)
+    n_s = max(n_signal, legendre_terms(detector.c, m))
 
     with _stage("detection-modes"):
         modes = detection_modes(detector, n_grid=n_s, m_modes=m)
@@ -257,9 +261,8 @@ def evaluate_pipeline(
 
     report = MetricsReport(p_pair=p_pair, p_s=p_s, d_s=d_s, h=h,
                            t_min=tmin, r_abs=r_abs, practical_rate=practical)
-    resolved = samples.tail <= CHOP_TOL and modes.chi_all.size <= n_s
-    return PipelineResult(report=report, modes=modes, state=state,
-                          n_signal=n_s, n_idler=n_idler, resolved=resolved)
+    return PipelineResult(report=report, modes=modes, state=state, n_signal=n_s,
+                          n_idler=n_idler, resolved=samples.tail <= CHOP_TOL)
 
 
 def run_scenario(
@@ -270,14 +273,14 @@ def run_scenario(
 ) -> PipelineResult:
     """Evaluate a scenario, doubling both grids until a level is resolved.
 
-    A level is resolved when its joint amplitude fields leave at most CHOP_TOL
-    of their weight in their top Legendre degrees and its signal grid holds
-    every Legendre term of the detection modes (``PipelineResult.resolved``),
-    so each level certifies itself and no finer level is evaluated to check
-    it.  The first resolved level is returned.  At most MAX_REFINEMENTS
-    doublings are made; when no level is resolved, the finest is returned with
-    ``resolved`` False.  With ``refine`` False the first level is returned,
-    resolved or not.
+    Each level's signal grid holds at least the N Legendre terms of the
+    detection modes (``evaluate_pipeline``).  A level is resolved when its
+    joint amplitude fields leave at most CHOP_TOL of their weight in their top
+    Legendre degrees (``PipelineResult.resolved``), so each level certifies
+    itself and no finer level is evaluated to check it.  The first resolved
+    level is returned.  At most MAX_REFINEMENTS doublings are made; when no
+    level is resolved, the finest is returned with ``resolved`` False.  With
+    ``refine`` False the first level is returned, resolved or not.
     ``source_samples`` is passed on to ``evaluate_pipeline``."""
     n_s, n_i = s.n_signal, s.n_idler
     for level in range(MAX_REFINEMENTS + 1 if refine else 1):
@@ -314,10 +317,7 @@ def run_sweep(s: Scenario) -> list[tuple[float, float, MetricsReport]]:
 # ---------------------------------------------------------------------------
 
 _DIRECT_KEYS = {"sigma", "mu_s", "mu_i", "B"}
-_PHYSICAL_KEYS = {
-    "pump_wavelength_nm", "pump_bandwidth_fwhm_nm", "signal_center_wavelength_nm",
-    "filter_bandwidth_nm", "fiber_length_m", "beta2", "beta3",
-}
+_PHYSICAL_KEYS = {f.name for f in fields(PhysicalSource)}
 _OPTIONAL_KEYS = {
     "name", "T", "eta", "kappa", "phase", "grid_signal", "grid_idler", "modes",
     "pair_probability", "external_efficiency", "sweep", "output_format",

@@ -285,15 +285,21 @@ class TestPresetCommand:
 
 def test_readme_flag_table_lists_the_parser_options():
     """README's table of common flags names every option of run, sweep and
-    preset, each with the config key that its argparse dest sets."""
+    preset, each with the config key that its argparse dest sets, and gives
+    the default grid sizes."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme[readme.index("| flag | config key | meaning |"):].split("\n\n", 1)[0]
-    rows = {}
+    rows, meanings = {}, {}
     for line in table.splitlines()[2:]:
         # a cell may hold an escaped pipe, as in `--format csv\|json`
-        flag, key = (cell.strip().strip("`") for cell in re.split(r"(?<!\\)\|", line)[1:3])
+        flag, key, meaning = (cell.strip().strip("`")
+                              for cell in re.split(r"(?<!\\)\|", line)[1:4])
         rows[flag.split()[0]] = key
+        meanings[flag.split()[0]] = meaning
     assert rows["--dump-modes"] == "—"
+    for flag, default in (("--grid-signal", scenarios.DEFAULT_N_SIGNAL),
+                          ("--grid-idler", scenarios.DEFAULT_N_IDLER)):
+        assert re.search(r"default (\d+)", meanings[flag]).group(1) == str(default), flag
     assert {k for k in rows.values() if k != "—"} == set(cli._FLAG_KEYS)
 
     subparsers = next(a for a in cli.build_parser()._actions

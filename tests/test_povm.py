@@ -139,10 +139,6 @@ class TestDetectionModes:
     def test_rejects_bad_mode_counts(self):
         d = DetectorParams(B=2 * np.pi, T=0.5)
         with pytest.raises(ValueError):
-            detection_modes(d, 16, 32)
-        with pytest.raises(ValueError):
-            detection_modes(d, 16, 8)  # violates n_grid >= 4 * m_modes
-        with pytest.raises(ValueError):
             detection_modes(d, 16, 0)
 
     @pytest.mark.parametrize("c", [0.35, 7.0, 40 * np.pi])
@@ -242,7 +238,7 @@ class TestParityBlocksAgainstDenseReference:
 
 
 class TestLegendreTruncation:
-    """The modes are polynomials of degree < N = povm._legendre_terms(c, M).
+    """The modes are polynomials of degree < N = povm.legendre_terms(c, M).
 
     On n >= N Gauss nodes their samples fix their coefficients beta in the
     orthonormal basis sqrt(k + 1/2) P_k(x), x = 2w/B, and the Gauss rule
@@ -258,7 +254,7 @@ class TestLegendreTruncation:
     def test_expansion_is_resolved(self, c):
         d = DetectorParams(B=2 * np.pi, T=4 * c / (2 * np.pi))
         m_modes = auto_mode_count(c)
-        n_terms = povm._legendre_terms(c, m_modes)
+        n_terms = povm.legendre_terms(c, m_modes)
         n_grid = max(4 * m_modes, n_terms)
         m = detection_modes(d, n_grid, m_modes)
         assert m.chi_all.sum() == pytest.approx(2 * c / np.pi, rel=1e-12)

@@ -8,7 +8,7 @@ import pytest
 
 from heraldsim import scenarios
 from heraldsim.jsa import JsaField, SourceParams
-from heraldsim.povm import DetectorParams, _legendre_terms
+from heraldsim.povm import DetectorParams, legendre_terms
 from heraldsim.scenarios import (
     CHOP_TOL,
     MAX_REFINEMENTS,
@@ -242,11 +242,15 @@ class TestRunScenario:
             preset("fig9")
 
 
+def _at_window(s, t_value, name=None):
+    """The scenario's single point at window T = t_value."""
+    return replace(s, name=name or s.name, detector=replace(s.detector, T=float(t_value)),
+                   sweep=None)
+
+
 def _point_reports(s):
     """Reports of independent run_scenario calls at each of the sweep's T."""
-    return [run_scenario(replace(s, detector=replace(s.detector, T=float(t)),
-                                 sweep=None)).report
-            for t in s.sweep.values()]
+    return [run_scenario(_at_window(s, t)).report for t in s.sweep.values()]
 
 
 # sigma = 1, mu_s = 200: the first two grid levels do not resolve the sinc
@@ -261,7 +265,7 @@ class TestSweepReuse:
 
     @pytest.mark.parametrize("s", [
         replace(preset("fig4"), sweep=SweepSpec(0.1, 4.0, 5)),
-        # M runs from 12 to 30 with c, so n_s = max(32, 4M) differs per point
+        # M runs from 12 to 30 with c, so n_s = max(32, N) differs per point
         replace(preset("fig3"), n_signal=32, sweep=SweepSpec(0.1, 20.0, 5)),
         replace(preset("fig4"), sweep=SweepSpec(0.1, 4.0, 3),
                 source=replace(preset("fig4").source, include_group_delay_phase=True)),
@@ -288,6 +292,14 @@ class TestSweepReuse:
         # every point of this sweep starts at n_s = 256 and refines twice
         run_sweep(replace(DEFECT, sweep=SweepSpec(20.0, 25.0, 3)))
         assert len(levels) == 2 * len(set(levels)) == 6
+
+
+# every point a preset runs, and the defect at three windows
+_LEVEL_POINTS = [
+    *(preset(name) for name in PRESETS if "sweep" not in PRESETS[name]),
+    *(_at_window(preset("fig4"), t, f"fig4-T{t:.6g}") for t in preset("fig4").sweep.values()),
+    *(_at_window(DEFECT, t, f"defect-T{t}") for t in (20, 40, 60)),
+]
 
 
 @pytest.fixture
@@ -328,25 +340,43 @@ class TestCertificate:
         assert result.resolved
         assert (result.n_signal, result.n_idler) == (1024, 1536)
         assert result.report.d_s == pytest.approx(0.2001, abs=5e-5)
-        assert pipeline_calls == [(360, 384), (512, 768), (1024, 1536)]
+        assert pipeline_calls == [(256, 384), (512, 768), (1024, 1536)]
 
-    def test_defect_at_a_wider_window_stays_bounded(self):
-        # both of the first two levels have n_s = 4M = 520, so they agree with
-        # each other on D_s = 1.17, outside [0, 1]; neither resolves w_s
+    def test_defect_at_a_wider_window_stays_bounded(self, pipeline_calls):
+        # c = 60 pi and M = 130 need N = 360 Legendre terms, so n_s starts at
+        # 360 and no n_s is evaluated twice; the first two levels resolve
+        # neither axis, and their D_s is above 1
         result = run_scenario(replace(DEFECT, detector=replace(DEFECT.detector, T=60.0)))
         assert (result.n_signal, result.n_idler) == (1024, 1536)
+        assert pipeline_calls == [(360, 384), (512, 768), (1024, 1536)]
         assert result.report.d_s == pytest.approx(0.30012, abs=5e-5)
 
-    def test_unexpanded_modes_force_refinement(self, pipeline_calls):
-        # c = 220 needs 272 Legendre terms per mode; 12 user-set modes keep
-        # n_s = 256 at the first level, whose joint amplitude is resolved
+    def test_fig1_is_one_evaluation_at_the_default_grids(self, pipeline_calls):
+        # c = 40 pi and M = 90 need N = 256 terms, the default n_s
+        s = preset("fig1")
+        assert legendre_terms(s.detector.c, 90) == 256
+        assert run_scenario(s).resolved
+        assert pipeline_calls == [(256, 384)]
+
+    @pytest.mark.parametrize("s", _LEVEL_POINTS, ids=lambda s: s.name)
+    def test_every_level_starts_at_the_mode_expansion(self, s, pipeline_calls):
+        # one rule sizes the signal grid: the doubled n_signal, raised to the
+        # N Legendre terms of each detection mode
+        n_terms = legendre_terms(s.detector.c, scenarios.auto_mode_count(s.detector.c))
+        run_scenario(s)
+        assert pipeline_calls == [(max(s.n_signal * 2**level, n_terms), s.n_idler * 2**level)
+                                  for level in range(len(pipeline_calls))]
+
+    def test_user_set_modes_are_expanded_at_the_first_level(self, pipeline_calls):
+        # c = 220 needs 272 Legendre terms per mode; 12 user-set modes start
+        # the first level at n_s = 272, whose joint amplitude is resolved
         s = replace(preset("fig3"), m_modes=12,
                     detector=replace(preset("fig3").detector, T=140.0))
         result = run_scenario(s)
-        assert _legendre_terms(s.detector.c, 12) > 256
-        assert scenarios.sample_source(s.source, s.detector.B, 256, 384).tail <= CHOP_TOL
+        assert legendre_terms(s.detector.c, 12) == 272
+        assert scenarios.sample_source(s.source, s.detector.B, 272, 384).tail <= CHOP_TOL
         assert result.resolved
-        assert pipeline_calls == [(256, 384), (512, 768)]
+        assert pipeline_calls == [(272, 384)]
 
     def test_unresolved_last_level_is_flagged(self, pipeline_calls):
         result = run_scenario(replace(preset("fig3"), n_signal=8, n_idler=8))
@@ -357,7 +387,7 @@ class TestCertificate:
     def test_without_refinement_the_first_level_is_returned(self, pipeline_calls):
         result = run_scenario(DEFECT, refine=False)
         assert not result.resolved
-        assert pipeline_calls == [(360, 384)]
+        assert pipeline_calls == [(256, 384)]
 
 
 class TestRealField:
