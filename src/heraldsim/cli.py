@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 from .scenarios import (
+    CHOP_TOL,
     PRESET_NAMES,
     PRESETS,
     ConfigError,
@@ -25,19 +26,24 @@ from .scenarios import (
     scenario_from_dict,
 )
 
-# the config keys that the common flags set, one per flag
+# the end of the warning for a result whose grid level is not resolved
+_UNRESOLVED = (f"the finest tried, leaves more than {CHOP_TOL:g} of the joint "
+               f"amplitude's weight in its top Legendre degrees")
+# the config keys that the common flags set, one per flag; each flag's value
+# is passed on as the text given, and scenario_from_dict reads and checks it
+# as it reads the same key in a config file
 _FLAG_KEYS = ("output_path", "output_format", "grid_signal", "grid_idler", "modes", "phase")
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", dest="output_path", metavar="PATH",
                      help="write output here instead of stdout")
-    sub.add_argument("--format", dest="output_format", choices=("csv", "json"),
+    sub.add_argument("--format", dest="output_format", metavar="csv|json",
                      help="output encoding")
-    sub.add_argument("--grid-signal", type=int, metavar="N", help="signal grid size")
-    sub.add_argument("--grid-idler", type=int, metavar="N", help="idler grid size")
-    sub.add_argument("--modes", type=int, metavar="M", help="retained detection modes")
-    sub.add_argument("--phase", choices=("on", "off"),
+    sub.add_argument("--grid-signal", metavar="N", help="signal grid size")
+    sub.add_argument("--grid-idler", metavar="N", help="idler grid size")
+    sub.add_argument("--modes", metavar="M", help="retained detection modes")
+    sub.add_argument("--phase", metavar="on|off",
                      help="include the group-delay phase in the joint amplitude")
     sub.add_argument("--dump-modes", metavar="DIR",
                      help="also write detection-mode and idler-eigenmode sample tables")
@@ -85,6 +91,10 @@ def main(argv: list[str] | None = None) -> int:
 
         if scenario.sweep is not None:
             rows = run_sweep(scenario)
+            for t_value, _, report in rows:
+                if not report.resolved:
+                    print(f"warning: not converged at T = {t_value:.9g}: the grid, "
+                          f"{_UNRESOLVED}", file=sys.stderr)
             text = (format_sweep_json(rows) if scenario.output_format == "json"
                     else format_sweep_csv(rows))
             result = None
@@ -95,11 +105,9 @@ def main(argv: list[str] | None = None) -> int:
             text = (format_report_json(scenario, result.report)
                     if scenario.output_format == "json"
                     else format_report_csv(scenario, result.report))
-            if not result.resolved:
+            if not result.report.resolved:
                 print(f"warning: not converged: the {result.n_signal}x"
-                      f"{result.n_idler} grid, the finest tried, does not "
-                      f"resolve the joint amplitude or the detection modes",
-                      file=sys.stderr)
+                      f"{result.n_idler} grid, {_UNRESOLVED}", file=sys.stderr)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -66,6 +66,9 @@ class MetricsReport:
     h: float
     t_min: float
     r_abs: float
+    # the joint amplitude's Legendre tail on the grid level these come from is
+    # at most scenarios.CHOP_TOL
+    resolved: bool
     practical_rate: Optional[float] = None
 
 

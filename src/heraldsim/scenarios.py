@@ -107,9 +107,9 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
-    name: str
+    name: str = "scenario"
     source: SourceParams
     detector: DetectorParams
     n_signal: int = DEFAULT_N_SIGNAL
@@ -143,15 +143,18 @@ class PipelineResult:
     state: HeraldedState
     n_signal: int
     n_idler: int
-    # the joint amplitude's Legendre tail is at most CHOP_TOL
-    resolved: bool
 
 
-def support_half_width(sigma: float, mu: float) -> float:
-    """Half-extent of an integration grid along one frequency axis: Gaussian
-    envelope plus the first several sinc lobes, capped at 40 sigma."""
+def support_half_widths(source: SourceParams, B: float) -> tuple[float, float]:
+    """Half-extents of the full-support signal and idler grids.  Along each
+    axis: the Gaussian envelope plus the first several sinc lobes, capped at
+    40 sigma, and at least the filter band plus the pump envelope, so the norm
+    denominator does not undercount band content."""
+    sigma = source.sigma
     eps = 0.01 / sigma
-    return min(6.0 * sigma + 2.0 * np.pi / max(abs(mu), eps), 40.0 * sigma)
+    return tuple(max(min(6.0 * sigma + 2.0 * np.pi / max(abs(mu), eps), 40.0 * sigma),
+                     0.5 * B + 2.0 * sigma)
+                 for mu in (source.mu_s, source.mu_i))
 
 
 def auto_mode_count(c: float) -> int:
@@ -183,11 +186,7 @@ def sample_source(source: SourceParams, B: float, n_s: int, n_i: int) -> SourceS
     The full-support field is reduced to its norm and its Legendre tail before
     the band is sampled, so only the band field is kept.
     """
-    # the full-support grids must cover at least the filter band plus the
-    # pump envelope, or the norm denominator can undercount band content
-    band_floor = 0.5 * B + 2.0 * source.sigma
-    w_s = max(support_half_width(source.sigma, source.mu_s), band_floor)
-    w_i = max(support_half_width(source.sigma, source.mu_i), band_floor)
+    w_s, w_i = support_half_widths(source, B)
     grid_s_full = build_grid(-w_s, w_s, n_s)
     grid_i = build_grid(-w_i, w_i, n_i)
     full = sample_jsa(source, grid_s_full, grid_i)
@@ -259,10 +258,10 @@ def evaluate_pipeline(
         if external_efficiency is not None:
             practical = practical_rate(r_abs, p_pair, external_efficiency)
 
-    report = MetricsReport(p_pair=p_pair, p_s=p_s, d_s=d_s, h=h,
-                           t_min=tmin, r_abs=r_abs, practical_rate=practical)
+    report = MetricsReport(p_pair=p_pair, p_s=p_s, d_s=d_s, h=h, t_min=tmin, r_abs=r_abs,
+                           resolved=samples.tail <= CHOP_TOL, practical_rate=practical)
     return PipelineResult(report=report, modes=modes, state=state, n_signal=n_s,
-                          n_idler=n_idler, resolved=samples.tail <= CHOP_TOL)
+                          n_idler=n_idler)
 
 
 def run_scenario(
@@ -276,11 +275,11 @@ def run_scenario(
     Each level's signal grid holds at least the N Legendre terms of the
     detection modes (``evaluate_pipeline``).  A level is resolved when its
     joint amplitude fields leave at most CHOP_TOL of their weight in their top
-    Legendre degrees (``PipelineResult.resolved``), so each level certifies
+    Legendre degrees (``MetricsReport.resolved``), so each level certifies
     itself and no finer level is evaluated to check it.  The first resolved
     level is returned.  At most MAX_REFINEMENTS doublings are made; when no
-    level is resolved, the finest is returned with ``resolved`` False.  With
-    ``refine`` False the first level is returned, resolved or not.
+    level is resolved, the finest is returned with ``report.resolved`` False.
+    With ``refine`` False the first level is returned, resolved or not.
     ``source_samples`` is passed on to ``evaluate_pipeline``."""
     n_s, n_i = s.n_signal, s.n_idler
     for level in range(MAX_REFINEMENTS + 1 if refine else 1):
@@ -288,7 +287,7 @@ def run_scenario(
             s.source, s.detector, n_signal=n_s * 2**level, n_idler=n_i * 2**level,
             m_modes=s.m_modes, pair_probability_target=s.pair_probability,
             external_efficiency=s.external_efficiency, source_samples=source_samples)
-        if result.resolved:
+        if result.report.resolved:
             break
     return result
 
@@ -349,116 +348,101 @@ def parse_config_text(text: str) -> dict:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build a Scenario from parsed config keys, validating exclusivity of the
-    direct and physical source descriptions."""
-    data = dict(data)
+    """Build a Scenario from config keys, whether a preset, a config file or a
+    CLI flag gave them: the one place that turns a setting's raw value into a
+    typed, checked value.  A key left out is not passed on, so its default is
+    the one on the dataclass field that it sets."""
     unknown = set(data) - _DIRECT_KEYS - _PHYSICAL_KEYS - _OPTIONAL_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    def fget(key, default=None):
-        if key not in data:
-            return default
+    def number(value, what):
         try:
-            if isinstance(data[key], bool):  # float(True) would read it as 1.0
+            if isinstance(value, bool):  # float(True) would read it as 1.0
                 raise TypeError
-            return float(data[key])
+            return float(value)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"key {key!r}: expected a number, got {data[key]!r}") from exc
+            raise ConfigError(f"{what}: expected a number, got {value!r}") from exc
 
-    def integral(value, what):
-        if not float(value).is_integer():  # also rejects nan and inf
+    def integer(value, what):
+        value = number(value, what)
+        if not value.is_integer():  # also rejects nan and inf
             raise ConfigError(f"{what}: expected an integer, got {value!r}")
         return int(value)
 
-    def iget(key, default=None):
-        value = fget(key, default)
-        return value if value is None else integral(value, f"key {key!r}")
+    def switch(value, what):
+        word = str(value).strip().lower()
+        if word not in ("on", "off", "true", "false"):
+            raise ConfigError(f"{what}: expected on or off, got {value!r}")
+        return word in ("on", "true")
+
+    def text(value, what):
+        if not isinstance(value, str):
+            raise ConfigError(f"{what}: expected a string, got {value!r}")
+        return value
+
+    def label(value, what):
+        if any(ch in text(value, what) for ch in ",\r\n"):
+            raise ConfigError(f"{what}: a comma or line break would split the "
+                              f"CSV report row, got {value!r}")
+        return value
+
+    def sweep_spec(value, what):
+        parts = value.split() if isinstance(value, str) else value
+        if not isinstance(parts, list) or len(parts) != 4:
+            raise ConfigError(f"{what}: expected '<param> <start> <stop> "
+                              f"<count>', got {value!r}")
+        if parts[0] != "T":
+            raise ConfigError(f"only sweeps over T are supported, got {parts[0]!r}")
+        start, stop, count = parts[1:]
+        return SweepSpec(number(start, f"sweep start in {what}"),
+                         number(stop, f"sweep stop in {what}"),
+                         integer(count, f"sweep count in {what}"))
+
+    def read(reader, *keys, **renamed):
+        """{field: the value of its key, read} for each key the config holds;
+        a key in ``keys`` sets the field of its own name, and ``renamed``
+        maps a field to the key that sets it."""
+        renamed.update(zip(keys, keys))
+        return {f: reader(data[k], f"key {k!r}") for f, k in renamed.items() if k in data}
 
     has_direct = bool(_DIRECT_KEYS & set(data))
-    has_physical = bool(_PHYSICAL_KEYS & set(data))
-    if has_direct == has_physical:
+    if has_direct == bool(_PHYSICAL_KEYS & set(data)):
         raise ConfigError("exactly one of the direct (sigma/mu_s/mu_i/B) or "
                           "physical (pump/fiber) source descriptions must be given")
-
-    phase_raw = str(data.get("phase", "off")).strip().lower()
-    if phase_raw not in ("on", "off", "true", "false"):
-        raise ConfigError(f"phase must be on/off, got {data['phase']!r}")
-    phase = phase_raw in ("on", "true")
-
+    missing = (_DIRECT_KEYS if has_direct else _PHYSICAL_KEYS) - set(data)
+    if missing:
+        raise ConfigError(f"missing {'direct' if has_direct else 'physical'}-source "
+                          f"keys: {sorted(missing)}")
     if "T" not in data:
         raise ConfigError("missing measurement window key 'T'")
-    eta = fget("eta", 1.0)
-    kappa = fget("kappa", 0.1)
 
     try:
         if has_direct:
-            missing = _DIRECT_KEYS - set(data)
-            if missing:
-                raise ConfigError(f"missing direct-source keys: {sorted(missing)}")
-            sigma, mu_s, mu_i, band = (fget(k) for k in ("sigma", "mu_s", "mu_i", "B"))
+            shape = read(number, "sigma", "mu_s", "mu_i", "B")
+            band = shape.pop("B")
         else:
-            missing = _PHYSICAL_KEYS - set(data)
-            if missing:
-                raise ConfigError(f"missing physical-source keys: {sorted(missing)}")
             # laboratory units to model parameters in SI units
-            ps = PhysicalSource(**{k: fget(k) for k in sorted(_PHYSICAL_KEYS)})
-            sigma = pump_bandwidth_to_sigma(ps.pump_bandwidth_fwhm_nm, ps.pump_wavelength_nm)
+            ps = PhysicalSource(**read(number, *sorted(_PHYSICAL_KEYS)))
             band = wavelength_band_to_angular_bandwidth(ps.signal_center_wavelength_nm,
                                                         ps.filter_bandwidth_nm)
             mu_s, mu_i = fiber_mu_coefficients(ps)
-        source = SourceParams(sigma=sigma, mu_s=mu_s, mu_i=mu_i, kappa=kappa,
-                              include_group_delay_phase=phase)
-        detector = DetectorParams(B=band, T=fget("T"), eta=eta)
+            shape = {"sigma": pump_bandwidth_to_sigma(ps.pump_bandwidth_fwhm_nm,
+                                                      ps.pump_wavelength_nm),
+                     "mu_s": mu_s, "mu_i": mu_i}
+        source = SourceParams(**shape, **read(number, "kappa"),
+                              **read(switch, include_group_delay_phase="phase"))
+        detector = DetectorParams(B=band, **read(number, "T", "eta"))
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    sweep = None
-    if "sweep" in data:
-        raw = data["sweep"]
-        parts = raw.split() if isinstance(raw, str) else raw
-        if (not isinstance(parts, list) or len(parts) != 4
-                or any(isinstance(part, bool) for part in parts)):
-            raise ConfigError(f"key 'sweep': expected '<param> <start> <stop> "
-                              f"<count>', got {raw!r}")
-        param = str(parts[0])
-        try:
-            start, stop = float(parts[1]), float(parts[2])
-            count = integral(float(parts[3]), "sweep count")
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"key 'sweep': invalid spec {raw!r}") from exc
-        if param != "T":
-            raise ConfigError(f"only sweeps over T are supported, got {param!r}")
-        sweep = SweepSpec(start=start, stop=stop, count=count)
-
-    output_path = data.get("output_path")
-    if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError(f"key 'output_path': expected a path, got {output_path!r}")
-
-    name = data.get("name", "scenario")
-    if not isinstance(name, str):
-        raise ConfigError(f"key 'name': expected a string, got {name!r}")
-    if any(ch in name for ch in ",\r\n"):
-        raise ConfigError(f"key 'name': a comma or line break would split the "
-                          f"CSV report row, got {name!r}")
-
     return Scenario(
-        name=name,
-        source=source,
-        detector=detector,
-        n_signal=iget("grid_signal", DEFAULT_N_SIGNAL),
-        n_idler=iget("grid_idler", DEFAULT_N_IDLER),
-        m_modes=iget("modes"),
-        pair_probability=fget("pair_probability"),
-        external_efficiency=fget("external_efficiency"),
-        sweep=sweep,
-        output_format=str(data.get("output_format", "csv")),
-        output_path=output_path,
-    )
+        source=source, detector=detector, **read(label, "name"),
+        **read(integer, n_signal="grid_signal", n_idler="grid_idler", m_modes="modes"),
+        **read(number, "pair_probability", "external_efficiency"),
+        **read(sweep_spec, "sweep"), **read(text, "output_format", "output_path"))
 
 
 def read_config(path: str | Path) -> dict:

@@ -11,7 +11,9 @@ from heraldsim.scenarios import (
     PRESET_NAMES,
     PRESETS,
     StageError,
+    SweepSpec,
     format_report_csv,
+    format_sweep_csv,
     preset,
     run_scenario,
     run_sweep,
@@ -220,6 +222,26 @@ class TestSweepCommand:
         cfg.write_text(FIG3_CFG)
         assert cli.main(["sweep", str(cfg)]) == 1
 
+    def test_unresolved_points_warn_one_line_each(self, tmp_path, capsys):
+        cfg = tmp_path / "coarse.cfg"
+        cfg.write_text(FIG3_CFG + "grid_signal = 8\ngrid_idler = 8\nsweep = T 0.5 1.0 2\n")
+        rows = run_sweep(replace(preset("fig3"), n_signal=8, n_idler=8,
+                                 sweep=SweepSpec(0.5, 1.0, 2)))
+        assert not any(report.resolved for _, _, report in rows)
+        assert cli.main(["sweep", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        # stdout holds every row, as for resolved points, and the exit code is 0
+        assert captured.out == format_sweep_csv(rows)
+        # one line per point, naming its T and the cause a single run names
+        assert captured.err.splitlines() == [
+            f"warning: not converged at T = {t}: the grid, {cli._UNRESOLVED}"
+            for t in ("0.5", "1")]
+        assert "Legendre" in cli._UNRESOLVED
+
+    def test_resolved_sweep_writes_nothing_to_stderr(self, capsys):
+        assert cli.main(["preset", "fig4"]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestPresetCommand:
     def test_preset_fig3(self, capsys):
@@ -234,7 +256,7 @@ class TestPresetCommand:
     def test_unresolved_run_warns_in_one_line(self, capsys):
         s = replace(preset("fig3"), n_signal=8, n_idler=8)
         result = run_scenario(s)
-        assert not result.resolved
+        assert not result.report.resolved
         assert cli.main(["preset", "fig3", "--grid-signal", "8", "--grid-idler", "8"]) == 0
         captured = capsys.readouterr()
         # stdout still holds the finest level's report, and the exit code is 0
@@ -277,6 +299,37 @@ class TestPresetCommand:
         from_file = capsys.readouterr().out
         assert cli.main(["preset", name]) == 0
         assert capsys.readouterr().out == from_file
+
+    @staticmethod
+    def _run_fig3_with(tmp_path, capsys, key, value):
+        """Exit code, stdout and stderr of ``run`` on fig3's keys plus ``key = value``."""
+        cfg = tmp_path / "fig3-key.cfg"
+        keys = {"name": "fig3", **PRESETS["fig3"], key: value}
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        code = cli.main(["run", str(cfg)])
+        return (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("flag, key, value", [
+        ("--grid-signal", "grid_signal", "abc"), ("--grid-idler", "grid_idler", "1.5"),
+        ("--modes", "modes", "x"), ("--format", "output_format", "xml"),
+        ("--phase", "phase", "maybe"),
+    ])
+    def test_bad_flag_value_is_the_config_error_of_its_key(self, tmp_path, capsys,
+                                                           flag, key, value):
+        code = cli.main(["preset", "fig3", flag, value])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert (code, out, err) == self._run_fig3_with(tmp_path, capsys, key, value)
+
+    @pytest.mark.parametrize("flag, key, value", [
+        ("--grid-signal", "grid_signal", "1e3"), ("--phase", "phase", "true"),
+    ])
+    def test_flag_accepts_what_its_key_accepts(self, tmp_path, capsys, flag, key, value):
+        code = cli.main(["preset", "fig3", flag, value])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "") and out.startswith("name,")
+        assert (code, out, err) == self._run_fig3_with(tmp_path, capsys, key, value)
 
     def test_unknown_preset_rejected_by_argparse(self):
         with pytest.raises(SystemExit):

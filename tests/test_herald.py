@@ -361,7 +361,7 @@ class TestPipelineInvariants:
     @settings(max_examples=25, deadline=None)
     def test_resolved_results_are_bounded(self, params):
         result = _run(*params)
-        assume(result.resolved)
+        assume(result.report.resolved)
         report, modes, state = result.report, result.modes, result.state
         assert 0.0 <= report.d_s <= 1.0
         assert 0.0 < report.h <= 1.0

@@ -18,7 +18,7 @@ from heraldsim.jsa import (
     separable_jsa,
 )
 from heraldsim.numerics import build_grid
-from heraldsim.scenarios import PRESET_NAMES, preset, support_half_width
+from heraldsim.scenarios import PRESET_NAMES, preset, support_half_widths
 
 
 def source_grid_pairs():
@@ -28,9 +28,7 @@ def source_grid_pairs():
     for name in PRESET_NAMES:
         s = preset(name)
         p, half_band = s.source, 0.5 * s.detector.B
-        floor = half_band + 2.0 * p.sigma
-        w_s = max(support_half_width(p.sigma, p.mu_s), floor)
-        w_i = max(support_half_width(p.sigma, p.mu_i), floor)
+        w_s, w_i = support_half_widths(p, s.detector.B)
         for n_s, n_i in ((s.n_signal, s.n_idler), (2 * s.n_signal, 2 * s.n_idler),
                          (257, 385)):
             grid_i = build_grid(-w_i, w_i, n_i)
@@ -183,9 +181,7 @@ class TestRealField:
         # mu = 0 makes the sinc factor exactly 1, leaving the pump factor
         s = preset("fig5-180ps")
         p = s.source
-        floor = 0.5 * s.detector.B + 2.0 * p.sigma
-        w_s = max(support_half_width(p.sigma, p.mu_s), floor)
-        w_i = max(support_half_width(p.sigma, p.mu_i), floor)
+        w_s, w_i = support_half_widths(p, s.detector.B)
         ws = build_grid(-w_s, w_s, 512).nodes[:, None]
         wi = build_grid(-w_i, w_i, 768).nodes[None, :]
         pump = jsa_amplitude(replace(p, mu_s=0.0, mu_i=0.0), ws, wi)

@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,13 @@ from heraldsim.scenarios import (
     run_scenario,
     run_sweep,
     scenario_from_dict,
-    support_half_width,
+    support_half_widths,
+)
+from heraldsim.units import (
+    PhysicalSource,
+    fiber_mu_coefficients,
+    pump_bandwidth_to_sigma,
+    wavelength_band_to_angular_bandwidth,
 )
 
 FIG3_TEXT = """\
@@ -151,6 +157,29 @@ class TestConfigParsing:
                 == run_scenario(base, refine=False).report)
 
 
+class TestDefaults:
+    """A key the config leaves out takes the default of the dataclass field it
+    sets, so a default written a second time in the parser, and drifting from
+    the field's, fails here."""
+
+    def test_minimal_direct_config(self):
+        s = scenario_from_dict({"sigma": 1, "mu_s": 2, "mu_i": -1, "B": "3", "T": 0.5})
+        assert s == Scenario(source=SourceParams(sigma=1.0, mu_s=2.0, mu_i=-1.0),
+                             detector=DetectorParams(B=3.0, T=0.5))
+
+    def test_physical_keys_and_window(self):
+        keys = {f.name: PRESETS["fig5-9ps"][f.name] for f in fields(PhysicalSource)}
+        ps = PhysicalSource(**keys)
+        mu_s, mu_i = fiber_mu_coefficients(ps)
+        want = Scenario(
+            source=SourceParams(sigma=pump_bandwidth_to_sigma(ps.pump_bandwidth_fwhm_nm,
+                                                              ps.pump_wavelength_nm),
+                                mu_s=mu_s, mu_i=mu_i),
+            detector=DetectorParams(B=wavelength_band_to_angular_bandwidth(
+                ps.signal_center_wavelength_nm, ps.filter_bandwidth_nm), T=9e-12))
+        assert scenario_from_dict({**keys, "T": 9e-12}) == want
+
+
 README_BLOCKS = re.findall(r"```ini\n(.*?)```",
                            (Path(__file__).resolve().parents[1] / "README.md").read_text(),
                            re.S)
@@ -187,15 +216,24 @@ class TestPresets:
 
 
 class TestGridExtent:
+    # a band of 1 keeps the band floor B/2 + 2 sigma below the lobe rule
     def test_rule(self):
-        assert support_half_width(1.0, 1.0) == pytest.approx(6 + 2 * np.pi)
+        source = SourceParams(sigma=1.0, mu_s=1.0, mu_i=-2.0)
+        assert support_half_widths(source, 1.0) == pytest.approx((6 + 2 * np.pi, 6 + np.pi))
 
     def test_clamped(self):
-        assert support_half_width(1.0, 0.0) == 40.0
+        source = SourceParams(sigma=1.0, mu_s=0.0, mu_i=1e-3)
+        assert support_half_widths(source, 1.0) == (40.0, 40.0)
 
     def test_scales_with_sigma(self):
-        assert support_half_width(2.0, 0.5) == pytest.approx(
-            2 * support_half_width(1.0, 1.0))
+        wide = SourceParams(sigma=2.0, mu_s=0.5, mu_i=0.25)
+        assert support_half_widths(wide, 2.0) == pytest.approx(
+            tuple(2 * w for w in support_half_widths(SourceParams(1.0, 1.0, 0.5), 1.0)))
+
+    def test_band_floor(self):
+        # the full-support grids cover at least the filter band plus the pump envelope
+        source = SourceParams(sigma=1.0, mu_s=1.0, mu_i=0.0)
+        assert support_half_widths(source, 100.0) == (52.0, 52.0)
 
 
 class TestRunScenario:
@@ -324,7 +362,7 @@ class TestCertificate:
     @pytest.mark.parametrize("name", [n for n in PRESETS if "sweep" not in PRESETS[n]])
     def test_preset_is_one_resolved_evaluation(self, name, pipeline_calls):
         result = run_scenario(preset(name))
-        assert result.resolved
+        assert result.report.resolved
         assert len(pipeline_calls) == 1
 
     def test_fig4_point_is_one_resolved_evaluation(self, pipeline_calls):
@@ -332,12 +370,12 @@ class TestCertificate:
         for t_value in s.sweep.values():
             pipeline_calls.clear()
             point = replace(s, detector=replace(s.detector, T=float(t_value)), sweep=None)
-            assert run_scenario(point).resolved
+            assert run_scenario(point).report.resolved
             assert len(pipeline_calls) == 1
 
     def test_defect_refines_to_the_resolved_level(self, pipeline_calls):
         result = run_scenario(DEFECT)
-        assert result.resolved
+        assert result.report.resolved
         assert (result.n_signal, result.n_idler) == (1024, 1536)
         assert result.report.d_s == pytest.approx(0.2001, abs=5e-5)
         assert pipeline_calls == [(256, 384), (512, 768), (1024, 1536)]
@@ -355,7 +393,7 @@ class TestCertificate:
         # c = 40 pi and M = 90 need N = 256 terms, the default n_s
         s = preset("fig1")
         assert legendre_terms(s.detector.c, 90) == 256
-        assert run_scenario(s).resolved
+        assert run_scenario(s).report.resolved
         assert pipeline_calls == [(256, 384)]
 
     @pytest.mark.parametrize("s", _LEVEL_POINTS, ids=lambda s: s.name)
@@ -375,18 +413,18 @@ class TestCertificate:
         result = run_scenario(s)
         assert legendre_terms(s.detector.c, 12) == 272
         assert scenarios.sample_source(s.source, s.detector.B, 272, 384).tail <= CHOP_TOL
-        assert result.resolved
+        assert result.report.resolved
         assert pipeline_calls == [(272, 384)]
 
     def test_unresolved_last_level_is_flagged(self, pipeline_calls):
         result = run_scenario(replace(preset("fig3"), n_signal=8, n_idler=8))
-        assert not result.resolved
+        assert not result.report.resolved
         assert len(pipeline_calls) == MAX_REFINEMENTS + 1
         assert (result.n_signal, result.n_idler) == (64, 64)
 
     def test_without_refinement_the_first_level_is_returned(self, pipeline_calls):
         result = run_scenario(DEFECT, refine=False)
-        assert not result.resolved
+        assert not result.report.resolved
         assert pipeline_calls == [(256, 384)]
 
 
