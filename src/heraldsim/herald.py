@@ -6,19 +6,27 @@ density-matrix trace is (1/2pi) integral rho(w, w) dw, and idler eigenmodes are
 normalized under the same (1/2pi) measure so rho = sum_n lambda_n e_n e_n^*.
 
 The heralded state rho = sum_m eta_m Phi_m Phi_m^* has rank <= M, the number
-of retained detection modes.  It is held as its M weighted amplitudes and
-diagonalized by a thin SVD of the n_i x M amplitude matrix (the Schmidt
-decomposition); the dense n_i x n_i matrix is only built when read.
+of retained detection modes.  It is held as its M weighted amplitudes, and its
+spectrum and leading eigenmode come from an eigensolve of the M x M Gram
+matrix of those amplitudes.  The dense n_i x n_i matrix and the full set of
+idler eigenmodes are only built when read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .jsa import JsaField, SourceParams
-from .numerics import FrequencyGrid, fix_column_phases, float_or_complex, rms_time_width
+from .numerics import (
+    FrequencyGrid,
+    fix_column_phases,
+    float_or_complex,
+    hermitian_eigen,
+    rms_time_width,
+)
 from .povm import DetectionModeSet, DetectorParams
 
 # uniform pulse-length convention: tau = 4*sqrt(2)*sigma_t, which maps a
@@ -29,10 +37,11 @@ PULSE_LENGTH_FACTOR = 4.0 * np.sqrt(2.0)
 @dataclass(frozen=True)
 class HeraldedState:
     """Heralded idler state on a frequency grid, held as rank-<=M amplitudes,
-    with its spectrum.
+    with its spectrum and leading eigenmode.
 
     rho(w_i, w_i') = sum_m a_m(w_i) a_m^*(w_i') for the rows a_m of
-    ``amplitudes``; ``rho`` builds that dense matrix on each read.
+    ``amplitudes``; ``rho`` builds that dense matrix on each read, and
+    ``eigenmodes`` builds every idler eigenmode on its first read.
     ``click_weight`` is sum_m eta_m ||Phi_m||^2 under the grid quadrature, the
     trace of the unnormalized state times 2pi: D_s is click_weight over
     2pi times the full joint-amplitude norm, and H is lam[0].
@@ -41,11 +50,11 @@ class HeraldedState:
     grid_i: FrequencyGrid
     click_weight: float
     amplitudes: np.ndarray  # (M, n_i), sqrt(eta_m / trace) Phi_m
-    lam: np.ndarray  # eigenvalues, descending, summing to 1; at most M of them
-    eigenmodes: np.ndarray  # (n_i, lam.size) columns, (1/2pi)-orthonormal
+    lam: np.ndarray  # eigenvalues, descending, summing to 1; min(M, n_i) of them
+    leading_mode: np.ndarray  # (n_i,) eigenmode of lam[0], (1/2pi)-normalized
 
     def __post_init__(self):
-        for name in ("amplitudes", "lam", "eigenmodes"):
+        for name in ("amplitudes", "lam", "leading_mode"):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -54,6 +63,23 @@ class HeraldedState:
     def rho(self) -> np.ndarray:
         """(n_i, n_i) density matrix, unit trace under (1/2pi) grid quadrature."""
         return self.amplitudes.T @ self.amplitudes.conj()
+
+    @cached_property
+    def eigenmodes(self) -> np.ndarray:
+        """(n_i, lam.size) read-only eigenmode columns, (1/2pi)-orthonormal,
+        in the order of ``lam``, from a thin SVD of the weighted amplitudes.
+
+        Each column is rotated so that its first node above 1e-8 of its
+        largest magnitude is real and positive.  Column 0 is ``leading_mode``
+        up to rounding and, where that reference node is tiny, a global phase.
+        """
+        sw = np.sqrt(self.grid_i.weights)
+        u, _, _ = np.linalg.svd((self.amplitudes * sw[None, :]).T / np.sqrt(2.0 * np.pi),
+                                full_matrices=False)
+        modes = (u / sw[:, None]) * np.sqrt(2.0 * np.pi)
+        fix_column_phases(modes)  # the sign rule of the detection modes
+        modes.setflags(write=False)
+        return modes
 
 
 @dataclass(frozen=True)
@@ -94,9 +120,11 @@ def idler_density_matrix(
     rho(w_i, w_i') proportional to sum_m eta_m Phi_m(w_i) Phi_m^*(w_i'),
     normalized to unit trace.  With a_m = sqrt(eta_m / trace) Phi_m and
     b_m = a_m sqrt(w_i / 2pi), the quadrature-weighted rho equals B^T B^*, so
-    the thin SVD B^T = U S V^* gives its eigenvalues S^2 and eigenvectors U.
-    Real amplitudes stay real.  Each eigenmode is rotated so that its first
-    node above 1e-8 of its largest magnitude is real and positive.
+    its nonzero eigenvalues are those of the M x M Gram matrix G = B^* B^T,
+    and an eigenvector v of G with eigenvalue g gives the eigenvector
+    B^T v / sqrt(g) of rho.  Only the leading one is formed.  Real amplitudes
+    stay real.  The leading eigenmode is rotated so that its first node above
+    1e-8 of its largest magnitude is real and positive.
     """
     collapsed = float_or_complex(collapsed)
     eta_weights = np.asarray(eta_weights, dtype=float)
@@ -104,6 +132,10 @@ def idler_density_matrix(
         raise ValueError("collapsed amplitudes and weights are inconsistent")
     if collapsed.shape[1] != grid_i.n:
         raise ValueError("collapsed amplitudes do not match the idler grid")
+    if not np.all(np.isfinite(collapsed)):
+        raise ValueError("collapsed amplitudes must be finite")
+    if not np.all(np.isfinite(eta_weights)):
+        raise ValueError("detection-mode efficiencies must be finite")
     if not np.any(np.abs(collapsed) > 0):
         raise ValueError("all collapsed amplitudes vanish")
     if np.any(eta_weights < 0.0):
@@ -116,13 +148,15 @@ def idler_density_matrix(
     amplitudes = np.sqrt(eta_weights / trace)[:, None] * collapsed
 
     sw = np.sqrt(grid_i.weights)
-    u, s, _ = np.linalg.svd((amplitudes * sw[None, :]).T / np.sqrt(2.0 * np.pi),
-                            full_matrices=False)
-    lam = s**2 / np.sum(s**2)
-    eigenmodes = (u / sw[:, None]) * np.sqrt(2.0 * np.pi)
-    fix_column_phases(eigenmodes)  # the sign rule of the detection modes
+    b = amplitudes * (sw / np.sqrt(2.0 * np.pi))[None, :]
+    g, v = hermitian_eigen(b.conj() @ b.T)
+    # rho has rank <= min(M, n_i); G's eigenvalues past that are rounding
+    g = np.maximum(g[:min(b.shape)], 0.0)
+    lam = g / np.sum(g)
+    leading = (b.T @ v[:, 0]) * (np.sqrt(2.0 * np.pi / g[0]) / sw)
+    fix_column_phases(leading[:, None])
     return HeraldedState(grid_i=grid_i, click_weight=click_weight, amplitudes=amplitudes,
-                         lam=lam, eigenmodes=eigenmodes)
+                         lam=lam, leading_mode=leading)
 
 
 def t_min(

@@ -252,7 +252,7 @@ def evaluate_pipeline(
 
     with _stage("metrics"):
         tmin = t_min(detector, source, (jsa_band.grid_s, samples.marginal),
-                     (grid_i, state.eigenmodes[:, 0]))
+                     (grid_i, state.leading_mode))
         r_abs = absolute_rate(d_s, tmin)
         practical = None
         if external_efficiency is not None:

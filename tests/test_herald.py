@@ -191,6 +191,19 @@ class TestIdlerDensityMatrix:
             idler_density_matrix(np.ones((2, idler_grid.n)), np.array([1.0, -1e-3]),
                                  idler_grid)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_amplitudes(self, idler_grid, bad):
+        collapsed = np.ones((2, idler_grid.n), dtype=complex)
+        collapsed[1, 7] = bad
+        with pytest.raises(ValueError, match="collapsed amplitudes must be finite"):
+            idler_density_matrix(collapsed, np.ones(2), idler_grid)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_efficiencies(self, idler_grid, bad):
+        with pytest.raises(ValueError, match="efficiencies must be finite"):
+            idler_density_matrix(np.ones((2, idler_grid.n)), np.array([1.0, bad]),
+                                 idler_grid)
+
 
 def assert_phase_convention(eigenmodes):
     """The first node of each column above 1e-8 of its largest magnitude is
@@ -207,8 +220,9 @@ class TestEigenmodePhase:
     def test_every_column_follows_convention(self, name):
         s = preset(name)
         state = evaluate_pipeline(s.source, s.detector).state
-        assert state.eigenmodes.dtype == np.float64
+        assert state.eigenmodes.dtype == state.leading_mode.dtype == np.float64
         assert_phase_convention(state.eigenmodes)
+        assert_phase_convention(state.leading_mode[:, None])
 
     @pytest.mark.parametrize("complex_rows", [False, True])
     def test_global_phase_of_amplitudes_leaves_modes_unchanged(self, complex_rows):
@@ -276,6 +290,80 @@ class TestLowRankAgainstDenseReference:
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12 * np.max(np.abs(rho))
         assert np.real(grid.weights @ np.diag(rho)) / (2 * np.pi) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(rho - rho_ref)) < 1e-12 * np.max(np.abs(rho_ref))
+
+
+class TestGramSpectrum:
+    """The Gram-matrix spectrum and leading mode against the thin SVD that
+    ``eigenmodes`` takes."""
+
+    @pytest.mark.parametrize("complex_rows", [False, True])
+    @pytest.mark.parametrize("m,n_i", [(6, 64), (40, 96), (64, 64), (80, 48)])
+    def test_matches_thin_svd(self, m, n_i, complex_rows):
+        rng = np.random.default_rng(31 * m + n_i + complex_rows)
+        grid = build_grid(-8.0, 8.0, n_i)
+        collapsed = rng.normal(size=(m, n_i))
+        if complex_rows:
+            collapsed = collapsed + 1j * rng.normal(size=(m, n_i))
+        eta = rng.permutation(np.logspace(0, -6, m))
+        state = idler_density_matrix(collapsed, eta, grid)
+
+        sw = np.sqrt(grid.weights)
+        s = np.linalg.svd(state.amplitudes * sw, compute_uv=False)
+        assert state.lam.size == min(m, n_i)
+        assert np.max(np.abs(state.lam - s**2 / np.sum(s**2))) <= 1e-14
+
+        assert state.lam[0] - state.lam[1] >= 1e-3  # these draws separate lam_0
+        lead, ref = state.leading_mode, state.eigenmodes[:, 0]
+        # the two agree up to a unit phase: the phase rule's reference node may
+        # sit far below the column maximum
+        phase = np.vdot(lead, ref)
+        phase /= abs(phase)
+        assert np.max(np.abs(phase * lead - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+        detector = DetectorParams(B=2 * np.pi, T=1e-6)
+        source = SourceParams(sigma=1e6, mu_s=0.0, mu_i=0.0)
+        t_lead = t_min(detector, source, (grid, lead), (grid, lead))
+        t_ref = t_min(detector, source, (grid, ref), (grid, ref))
+        assert t_lead > 4.0 / source.sigma
+        assert t_lead == pytest.approx(t_ref, rel=1e-13)
+
+
+class TestEigenmodesOnlyWhenRead:
+    """The report path reads lam and the leading mode; only a mode dump takes
+    the SVD that builds every idler eigenmode."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        real = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return calls
+
+    def test_reports_take_no_svd(self, svd_calls):
+        for name in ("fig1", "fig3", "fig5-180ps", "fig5-9ps", "fig5-wideband"):
+            run_scenario(preset(name))
+        assert len(scenarios.run_sweep(preset("fig4"))) == 17
+        assert svd_calls == []
+
+    def test_dump_takes_one_svd_per_result(self, svd_calls, tmp_path):
+        results = [run_scenario(preset(name)) for name in ("fig3", "fig5-180ps")]
+        svd_calls.clear()
+        for i, result in enumerate(results):
+            scenarios.dump_mode_tables(result, tmp_path / str(i))
+        assert len(svd_calls) == len(results)
+
+    def test_eigenmodes_are_formed_once_and_read_only(self, svd_calls):
+        state = run_scenario(preset("fig3")).state
+        first, second = state.eigenmodes, state.eigenmodes
+        assert first is second and len(svd_calls) == 1
+        assert not first.flags.writeable and not state.leading_mode.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
 
 
 class TestTMin:
