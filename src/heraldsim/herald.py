@@ -102,10 +102,13 @@ def collapsed_wavefunctions(jsa_band: JsaField, modes: DetectionModeSet) -> np.n
     """Idler amplitudes conditioned on a click in each detection mode.
 
     Phi_m(w_i) = integral over the filter band of phi_m(w_s) Phi(w_s, w_i) dw_s.
-    Returns an (M, n_i) array on jsa_band.grid_i.
+    Returns an (M, n_i) array on jsa_band.grid_i.  The two signal grids must
+    have the same nodes exactly, as two build_grid calls on the same band and
+    size give: a tolerance would be absolute at some scale and pass grids of
+    a different width whose nodes all lie below it.
     """
     gs = jsa_band.grid_s
-    if gs.n != modes.grid_s.n or not np.allclose(gs.nodes, modes.grid_s.nodes):
+    if not np.array_equal(gs.nodes, modes.grid_s.nodes):
         raise ValueError("signal grid of the joint amplitude must match the mode grid")
     return (modes.modes * gs.weights[None, :]) @ jsa_band.values
 

@@ -20,11 +20,15 @@ import numpy as np
 
 from .numerics import FrequencyGrid, float_or_complex, sinc
 
-# exp(x) is a normal float, at least the smallest one (about 2.2e-308), for x at
-# or above this floor (about -708.40) and subnormal or 0 below it; pump
-# exponents below it are written as 0 without calling exp, so the field holds
-# no subnormal, which would slow exp, the collapse and the Legendre tail
-EXP_FLOOR = float(np.log(np.finfo(float).tiny))
+# exp(x) squared is a normal float (at least tiny, about 2.2e-308) for x at or
+# above this floor, half of ln(tiny) (about -354.20); pump exponents below it
+# are written as 0 without calling exp.  The square of any nonzero pump factor,
+# and the product of any two, is then normal, so the norm, the Legendre tail,
+# the collapse and the Gram matrix no longer compute with the subnormals that
+# the far tails of wide grids gave (each costs a slow microcode assist on x86).
+# The cells it zeroes are below 1.5e-154 of the peak, under the rounding of any
+# sum they enter.
+EXP_FLOOR = 0.5 * float(np.log(np.finfo(float).tiny))
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,8 @@ def jsa_amplitude(p: SourceParams, w_s, w_i):
     phase-matching factor, with the optional group-delay phase.
 
     Real (float64) unless the source includes the group-delay phase.  Cells
-    where the pump factor would fall below the smallest normal float are 0
-    and skip the sinc.
+    whose pump exponent is below EXP_FLOOR are 0 and skip exp and the sinc,
+    so every nonzero pump factor has a normal (not subnormal) square.
     """
     w_s = np.asarray(w_s, dtype=float)
     w_i = np.asarray(w_i, dtype=float)

@@ -65,6 +65,16 @@ class TestCollapsedWavefunctions:
         with pytest.raises(ValueError):
             collapsed_wavefunctions(field, band_modes)
 
+    def test_rejects_grid_mismatch_at_any_scale(self):
+        # a band so narrow that every node is below 1e-8: a field sampled on
+        # a grid twice as wide must still be refused
+        B = 2 * np.pi * 1e-9
+        modes = detection_modes(DetectorParams(B=B, T=1e9), 64, 4)
+        wide = build_grid(-B, B, 64)
+        field = separable_jsa(np.ones_like, np.ones_like, wide, build_grid(-1.0, 1.0, 16))
+        with pytest.raises(ValueError, match="must match the mode grid"):
+            collapsed_wavefunctions(field, modes)
+
 
 class TestSignalClickProbability:
     def test_full_capture_limit(self):

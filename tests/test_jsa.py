@@ -186,11 +186,21 @@ class TestRealField:
         wi = build_grid(-w_i, w_i, 768).nodes[None, :]
         pump = jsa_amplitude(replace(p, mu_s=0.0, mu_i=0.0), ws, wi)
         want = np.exp(-((ws + wi) ** 2) / (2.0 * p.sigma**2))
-        # exp itself wherever it is a normal float, exactly 0 elsewhere
-        want[want < np.finfo(float).tiny] = 0.0
+        # exp itself wherever its square is a normal float, exactly 0 elsewhere
+        want[want * want < np.finfo(float).tiny] = 0.0
         assert np.mean(want == 0.0) > 0.3  # the floor is crossed on this grid
         assert pump.dtype == want.dtype
         assert np.array_equal(pump.view(np.int64), want.view(np.int64))
+
+    def test_pump_factor_squares_are_normal(self):
+        # mu = 0 leaves the pump factor; each nonzero value squares to a normal
+        # float, so |field|^2 and the products of two cells are never subnormal
+        tiny = np.finfo(float).tiny
+        for p, gs, gi in source_grid_pairs():
+            pump = sample_jsa(replace(p, mu_s=0.0, mu_i=0.0), gs, gi).values
+            live = pump[pump != 0.0]
+            assert live.size > 0
+            assert np.all(live * live >= tiny)
 
     def test_nan_input_is_not_masked(self):
         p = SourceParams(sigma=1.0, mu_s=2.0, mu_i=-1.0)

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heraldsim import scenarios
+from heraldsim import jsa, scenarios
 from heraldsim.jsa import JsaField, SourceParams
 from heraldsim.povm import DetectorParams, legendre_terms
 from heraldsim.scenarios import (
@@ -333,11 +334,11 @@ class TestSweepReuse:
 
 
 # every point a preset runs, and the defect at three windows
-_LEVEL_POINTS = [
-    *(preset(name) for name in PRESETS if "sweep" not in PRESETS[name]),
-    *(_at_window(preset("fig4"), t, f"fig4-T{t:.6g}") for t in preset("fig4").sweep.values()),
-    *(_at_window(DEFECT, t, f"defect-T{t}") for t in (20, 40, 60)),
-]
+_PRESET_POINTS = [preset(name) for name in PRESETS if "sweep" not in PRESETS[name]]
+_FIG4_POINTS = [_at_window(preset("fig4"), t, f"fig4-T{t:.6g}")
+                for t in preset("fig4").sweep.values()]
+_DEFECT_POINTS = [_at_window(DEFECT, t, f"defect-T{t}") for t in (20, 40, 60)]
+_LEVEL_POINTS = [*_PRESET_POINTS, *_FIG4_POINTS, *_DEFECT_POINTS]
 
 
 @pytest.fixture
@@ -450,6 +451,42 @@ class TestRealField:
         assert cast.report.h == pytest.approx(real.report.h, rel=0, abs=1e-12)
         assert cast.report.d_s == pytest.approx(real.report.d_s, rel=0, abs=1e-12)
         assert cast.report.t_min == pytest.approx(real.report.t_min, rel=1e-12, abs=0)
+
+
+class TestPumpFloor:
+    """The pump floor zeroes only cells whose square would be subnormal, at
+    most 1.5e-154 of the peak: every report, and the grid level it comes from,
+    is the one of the floor at ln(tiny), which keeps every normal exp."""
+
+    @staticmethod
+    def assert_same_numbers(points):
+        def results():
+            samples = {}  # shared between the points, as a sweep does
+            return [run_scenario(s, source_samples=samples) for s in points]
+
+        floored = results()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jsa, "EXP_FLOOR", float(np.log(np.finfo(float).tiny)))
+            full = results()
+        for a, b in zip(floored, full):
+            assert a.report == b.report
+            assert (a.n_signal, a.n_idler) == (b.n_signal, b.n_idler)
+
+    @pytest.mark.parametrize("points", [_PRESET_POINTS, _FIG4_POINTS, _DEFECT_POINTS],
+                             ids=["presets", "fig4", "defect"])
+    def test_level_points(self, points):
+        self.assert_same_numbers(points)
+
+    # |mu| sigma below about 1 stretches the full-support grids past the floor
+    @given(sigma=st.floats(0.5, 2.0), mu_s=st.floats(-2.0, 2.0), mu_i=st.floats(-2.0, 2.0),
+           B=st.floats(0.5, 10.0), T=st.floats(0.05, 5.0), phase=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_drawn_sources(self, sigma, mu_s, mu_i, B, T, phase):
+        self.assert_same_numbers([Scenario(
+            name="drawn",
+            source=SourceParams(sigma=sigma, mu_s=mu_s, mu_i=mu_i,
+                                include_group_delay_phase=phase),
+            detector=DetectorParams(B=B, T=T))])
 
 
 class TestScenarioValidation:
