@@ -165,16 +165,17 @@ def idler_density_matrix(
 def t_min(
     d: DetectorParams,
     p: SourceParams,
-    filtered_signal_amp: tuple[FrequencyGrid, np.ndarray],
+    tau_sig: float,
     idler_mode0_amp: tuple[FrequencyGrid, np.ndarray],
 ) -> float:
     """Minimum duration of one heralding cycle.
 
     The largest of: the measurement window T, the pump length 4/sigma, the
-    filtered-signal pulse length, and the pulse length of the dominant
-    heralded idler mode.
+    filtered-signal pulse length ``tau_sig``, and the pulse length of the
+    dominant heralded idler mode, PULSE_LENGTH_FACTOR times the RMS width of
+    its amplitude.  ``tau_sig`` does not depend on T, so a sweep reads it from
+    the source samples (``scenarios.SourceSamples``) shared by its windows.
     """
-    tau_sig = PULSE_LENGTH_FACTOR * rms_time_width(*filtered_signal_amp)
     tau_idl = PULSE_LENGTH_FACTOR * rms_time_width(*idler_mode0_amp)
     return max(d.T, 4.0 / p.sigma, tau_sig, tau_idl)
 

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import FrequencyGrid, float_or_complex, sinc
+from .numerics import FrequencyGrid, abs_squared, float_or_complex, sinc
 
 # exp(x) squared is a normal float (at least tiny, about 2.2e-308) for x at or
 # above this floor, half of ln(tiny) (about -354.20); pump exponents below it
@@ -132,7 +132,7 @@ def separable_jsa(
 
 def jsa_norm(field: JsaField) -> float:
     """Double quadrature of |amplitude|^2 over the sampled grids."""
-    intensity = np.abs(field.values) ** 2
+    intensity = abs_squared(field.values)
     norm = float(field.grid_s.weights @ intensity @ field.grid_i.weights)
     if norm <= 0.0:
         raise ValueError("joint amplitude is identically zero on the grids")

@@ -70,6 +70,15 @@ def float_or_complex(a) -> np.ndarray:
     return a.astype(np.result_type(a, float), copy=False)
 
 
+def abs_squared(a) -> np.ndarray:
+    """|a|^2 as a new float array, squared in place: one full-size array where
+    ``np.abs(a) ** 2`` makes two, with the same values bitwise (numpy computes
+    x ** 2 as x * x)."""
+    out = np.abs(a)
+    out *= out
+    return out
+
+
 def _legendre_rows(x: np.ndarray, n: int, first: int) -> np.ndarray:
     """P_k(x) for first <= k <= n, as the rows of a new array, by the
     three-term recurrence; the degrees below ``first`` run in two buffers."""
@@ -193,11 +202,11 @@ def legendre_tail(values: np.ndarray) -> float:
         raise ValueError(f"need at least 8 nodes per axis, got {v.shape}")
     _, w_s, rows_s = _legendre_rule(n_s)
     _, w_i, rows_i = _legendre_rule(n_i)
-    energy = w_s @ np.abs(v) ** 2 @ w_i
+    energy = w_s @ abs_squared(v) @ w_i
     if energy == 0.0:
         return 0.0
-    tail_s = np.sum(np.abs(rows_s @ v) ** 2 @ w_i)
-    tail_i = np.sum(w_s @ np.abs(v @ rows_i.T) ** 2)
+    tail_s = np.sum(abs_squared(rows_s @ v) @ w_i)
+    tail_i = np.sum(w_s @ abs_squared(v @ rows_i.T))
     return float(np.sqrt(max(tail_s, tail_i) / energy))
 
 

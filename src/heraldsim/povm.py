@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -147,7 +148,22 @@ def _prolate_expansion(c: float, m_modes: int) -> tuple[np.ndarray, np.ndarray]:
     return coef, chi
 
 
-def detection_modes(d: DetectorParams, n_grid: int, m_modes: int) -> DetectionModeSet:
+def band_basis(B: float, n_grid: int, n_terms: int) -> tuple[FrequencyGrid, np.ndarray]:
+    """The ``n_grid``-node Gauss-Legendre grid on [-B/2, B/2] and the read-only
+    n_terms x n_grid normalized Legendre rows Pbar_k(2w/B), k < n_terms, at
+    its nodes: what ``detection_modes`` evaluates the mode expansions on."""
+    grid = build_grid(-0.5 * B, 0.5 * B, n_grid)
+    rows = legendre_vander(grid.nodes * (2.0 / B), n_terms)
+    rows.setflags(write=False)
+    return grid, rows
+
+
+def detection_modes(
+    d: DetectorParams,
+    n_grid: int,
+    m_modes: int,
+    basis: Optional[tuple[FrequencyGrid, np.ndarray]] = None,
+) -> DetectionModeSet:
     """Eigenmodes and eigenvalues of the band-limiting/time-windowing operator.
 
     Returns the top ``m_modes`` eigenpairs, the modes sampled on an
@@ -160,23 +176,23 @@ def detection_modes(d: DetectorParams, n_grid: int, m_modes: int) -> DetectionMo
     and are solved once per pair (``_prolate_expansion``); each grid only
     evaluates the polynomials at its nodes, so any n_grid is accepted; from
     N = ``legendre_terms(c, m_modes)`` nodes on, where the pipeline starts, the
-    Gauss rule integrates the modes' products exactly.
+    Gauss rule integrates the modes' products exactly.  ``basis``, when given,
+    is ``band_basis(d.B, n_grid, N)``, built once for every window that shares
+    B, n_grid and N; without it the grid and the rows are built here.
     """
     if m_modes < 1:
         raise ValueError(f"need at least one mode, got {m_modes}")
 
-    grid = build_grid(-0.5 * d.B, 0.5 * d.B, n_grid)
     # allocate the returned modes before the temporaries: the temporaries then
     # lie above every live array on the heap, so freeing them returns the
     # memory instead of leaving holes that raise the peak RSS of the JSA stage
     # that follows
     phi = np.empty((m_modes, n_grid))
     coef, chi = _prolate_expansion(d.c, m_modes)
-    n_terms = chi.size
     # unit-norm psi on [-1, 1] becomes (1/2pi) integral phi^2 dw = 1 on the band
     coef = coef * np.sqrt(4.0 * np.pi / d.B)
-    x = grid.nodes * (2.0 / d.B)
-    np.matmul(coef.T, legendre_vander(x, n_terms), out=phi)
+    grid, rows = basis if basis is not None else band_basis(d.B, n_grid, chi.size)
+    np.matmul(coef.T, rows, out=phi)
 
     fix_column_phases(phi.T)
     return DetectionModeSet(grid_s=grid, modes=phi, chi=chi[:m_modes], chi_all=chi)

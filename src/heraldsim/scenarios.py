@@ -12,6 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .herald import (
+    PULSE_LENGTH_FACTOR,
     HeraldedState,
     MetricsReport,
     absolute_rate,
@@ -21,10 +22,11 @@ from .herald import (
     t_min,
 )
 from .jsa import JsaField, SourceParams, jsa_norm, pair_probability, sample_jsa
-from .numerics import build_grid, legendre_tail
+from .numerics import abs_squared, build_grid, legendre_tail, rms_time_width
 from .povm import (
     DetectionModeSet,
     DetectorParams,
+    band_basis,
     detection_modes,
     legendre_terms,
     povm_weights,
@@ -166,18 +168,18 @@ def auto_mode_count(c: float) -> int:
 class SourceSamples:
     """The part of a pipeline evaluation that does not depend on the window T:
     the joint amplitude on the filter band, its norm over the full support, the
-    filtered signal marginal that T_min reads, and the larger Legendre tail of
-    the full-support and band fields."""
+    filtered-signal pulse length tau_sig that T_min reads, and the larger
+    Legendre tail of the full-support and band fields.
+
+    tau_sig is PULSE_LENGTH_FACTOR times the RMS time width of the band
+    marginal sqrt(integral |jsa_band|^2 dw_i), read once per source level, so
+    the windows of a sweep share it.
+    """
 
     jsa_band: JsaField  # band grid x idler grid
     norm_full: float
-    marginal: np.ndarray  # sqrt(integral |jsa_band|^2 dw_i) on the band grid
+    tau_sig: float
     tail: float
-
-    def __post_init__(self):
-        marginal = np.asarray(self.marginal)
-        marginal.setflags(write=False)
-        object.__setattr__(self, "marginal", marginal)
 
 
 def sample_source(source: SourceParams, B: float, n_s: int, n_i: int) -> SourceSamples:
@@ -194,9 +196,10 @@ def sample_source(source: SourceParams, B: float, n_s: int, n_i: int) -> SourceS
     tail_full = legendre_tail(full.values)
     del full
     jsa_band = sample_jsa(source, build_grid(-0.5 * B, 0.5 * B, n_s), grid_i)
-    marginal = np.sqrt(np.abs(jsa_band.values) ** 2 @ grid_i.weights)
+    marginal = np.sqrt(abs_squared(jsa_band.values) @ grid_i.weights)
+    tau_sig = PULSE_LENGTH_FACTOR * rms_time_width(jsa_band.grid_s, marginal)
     tail = max(tail_full, legendre_tail(jsa_band.values))
-    return SourceSamples(jsa_band=jsa_band, norm_full=norm_full, marginal=marginal,
+    return SourceSamples(jsa_band=jsa_band, norm_full=norm_full, tau_sig=tau_sig,
                          tail=tail)
 
 
@@ -209,31 +212,50 @@ def evaluate_pipeline(
     pair_probability_target: Optional[float] = None,
     external_efficiency: Optional[float] = None,
     *,
-    source_samples: Optional[dict[tuple, SourceSamples]] = None,
+    source_samples: Optional[dict[tuple, object]] = None,
 ) -> PipelineResult:
     """Run the full chain grids -> modes -> JSA -> collapse -> rho -> metrics.
 
     The signal grid has max(n_signal, N) nodes, N = ``legendre_terms(c, M)``
     the terms of each detection mode's expansion, so it integrates the modes'
     products exactly.  Only the detection modes, and the stages after them,
-    depend on the window T.  The source stage (``sample_source``) depends on
-    the source, B and the grid sizes; ``source_samples``, when given, holds its
-    results keyed by (source, B, n_s, n_i) and gains an entry on each miss, so
-    evaluations that share a source and a grid level sample the joint
-    amplitude once.
+    depend on the window T, and the modes only through c and N.
+
+    ``source_samples``, when given, is the store that a sweep shares between
+    its evaluations, and this call adds what it misses:
+    - the source stage (``sample_source``), keyed by (source, B, n_s, n_i), so
+      evaluations that share a source and a grid level sample the joint
+      amplitude once;
+    - the band grid and its Legendre rows (``povm.band_basis``) for one N,
+      keyed by ("band", B, n_s), so windows that share N evaluate the rows
+      once.  Along a sweep N only grows with T, so rows of a new N replace
+      those of the last.  Rows are stored only when the store already holds
+      this level's source samples: they never sit beside the arrays that
+      sampling the source allocates and frees, which set the peak memory.
+    Without a store, nothing outlives the call.
     """
     m = m_modes if m_modes is not None else auto_mode_count(detector.c)
-    n_s = max(n_signal, legendre_terms(detector.c, m))
+    n_terms = legendre_terms(detector.c, m)
+    n_s = max(n_signal, n_terms)
+    store = {} if source_samples is None else source_samples
+    key = (source, detector.B, n_s, n_idler)
+    band_key = ("band", detector.B, n_s)
 
     with _stage("detection-modes"):
-        modes = detection_modes(detector, n_grid=n_s, m_modes=m)
+        held_terms, basis = store.get(band_key, (None, None))
+        if held_terms != n_terms:
+            basis = None
+            if key in store:
+                # N grows with T along a sweep, so these rows replace those of
+                # the last N: one set is held at a time
+                basis = band_basis(detector.B, n_s, n_terms)
+                store[band_key] = (n_terms, basis)
+        modes = detection_modes(detector, n_grid=n_s, m_modes=m, basis=basis)
 
-    source_samples = {} if source_samples is None else source_samples
-    key = (source, detector.B, n_s, n_idler)
-    if key not in source_samples:
+    if key not in store:
         with _stage("jsa"):
-            source_samples[key] = sample_source(source, detector.B, n_s, n_idler)
-    samples = source_samples[key]
+            store[key] = sample_source(source, detector.B, n_s, n_idler)
+    samples = store[key]
     jsa_band, norm_full = samples.jsa_band, samples.norm_full
     grid_i = jsa_band.grid_i
 
@@ -251,8 +273,7 @@ def evaluate_pipeline(
         h = float(state.lam[0])
 
     with _stage("metrics"):
-        tmin = t_min(detector, source, (jsa_band.grid_s, samples.marginal),
-                     (grid_i, state.leading_mode))
+        tmin = t_min(detector, source, samples.tau_sig, (grid_i, state.leading_mode))
         r_abs = absolute_rate(d_s, tmin)
         practical = None
         if external_efficiency is not None:
@@ -268,7 +289,7 @@ def run_scenario(
     s: Scenario,
     refine: bool = True,
     *,
-    source_samples: Optional[dict[tuple, SourceSamples]] = None,
+    source_samples: Optional[dict[tuple, object]] = None,
 ) -> PipelineResult:
     """Evaluate a scenario, doubling both grids until a level is resolved.
 
@@ -295,13 +316,16 @@ def run_scenario(
 def run_sweep(s: Scenario) -> list[tuple[float, float, MetricsReport]]:
     """Evaluate the scenario at each sweep point; rows ascend in T.
 
-    Only the detection modes depend on T, so the source is sampled once per
-    grid level for the whole sweep: the samples are shared between the points
-    for the length of this call and dropped when it returns.
+    The windows share one store (``evaluate_pipeline``'s ``source_samples``)
+    for the length of this call.  The source does not depend on T, so it is
+    sampled, and tau_sig read, once per grid level for the whole sweep; the
+    band's Legendre rows depend on T only through N, so they are evaluated
+    once per N from the second window on.  The store is dropped when this
+    call returns, so nothing is kept between sweeps.
     """
     if s.sweep is None:
         raise ConfigError("scenario has no sweep definition")
-    source_samples: dict[tuple, SourceSamples] = {}
+    source_samples: dict[tuple, object] = {}
     rows = []
     for t_value in s.sweep.values():
         detector = replace(s.detector, T=float(t_value))
@@ -554,10 +578,14 @@ def format_sweep_json(rows: list[tuple[float, float, MetricsReport]]) -> str:
 
 
 def _write_table(path: Path, header: str, columns: list[np.ndarray]) -> None:
-    """A CSV file of equal-length columns, each value written as by ``_fmt``."""
-    rows = np.column_stack(columns).tolist()  # Python floats format fastest
-    lines = [header] + [",".join([f"{v:.9g}" for v in row]) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    """A CSV file of equal-length columns, each value written as by ``_fmt``:
+    one ``%`` operation formats the whole table, "%.9g" giving the text of
+    f"{v:.9g}" for every float."""
+    table = np.column_stack(columns)
+    n_rows, n_cols = table.shape
+    row = ",".join(["%.9g"] * n_cols)
+    template = "\n".join([header.replace("%", "%%")] + [row] * n_rows) + "\n"
+    path.write_text(template % tuple(table.ravel().tolist()))
 
 
 def dump_mode_tables(result: PipelineResult, directory: str | Path) -> None:

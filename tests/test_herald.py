@@ -4,6 +4,7 @@ from dataclasses import replace
 from hypothesis import assume, example, given, settings, strategies as st
 
 from heraldsim.herald import (
+    PULSE_LENGTH_FACTOR,
     absolute_rate,
     collapsed_wavefunctions,
     idler_density_matrix,
@@ -11,7 +12,7 @@ from heraldsim.herald import (
     t_min,
 )
 from heraldsim.jsa import SourceParams, jsa_norm, sample_jsa, separable_jsa
-from heraldsim.numerics import build_grid
+from heraldsim.numerics import build_grid, rms_time_width
 from heraldsim.povm import DetectorParams, detection_modes, povm_weights
 from heraldsim import scenarios
 from heraldsim.scenarios import Scenario, evaluate_pipeline, preset, run_scenario
@@ -332,8 +333,10 @@ class TestGramSpectrum:
 
         detector = DetectorParams(B=2 * np.pi, T=1e-6)
         source = SourceParams(sigma=1e6, mu_s=0.0, mu_i=0.0)
-        t_lead = t_min(detector, source, (grid, lead), (grid, lead))
-        t_ref = t_min(detector, source, (grid, ref), (grid, ref))
+        t_lead = t_min(detector, source, PULSE_LENGTH_FACTOR * rms_time_width(grid, lead),
+                       (grid, lead))
+        t_ref = t_min(detector, source, PULSE_LENGTH_FACTOR * rms_time_width(grid, ref),
+                      (grid, ref))
         assert t_lead > 4.0 / source.sigma
         assert t_lead == pytest.approx(t_ref, rel=1e-13)
 
@@ -383,7 +386,7 @@ class TestTMin:
         amp = np.exp(-g.nodes**2 / (2 * 10.0**2))  # fast pulse, sigma_w = 10
         value = t_min(DetectorParams(B=2 * np.pi, T=1e-3),
                       SourceParams(sigma=1.0, mu_s=0.0, mu_i=0.0),
-                      (g, amp), (g, amp))
+                      PULSE_LENGTH_FACTOR * rms_time_width(g, amp), (g, amp))
         assert value == pytest.approx(4.0)
 
     def test_window_dominated(self):
@@ -391,7 +394,7 @@ class TestTMin:
         amp = np.exp(-g.nodes**2 / 2)
         value = t_min(DetectorParams(B=2 * np.pi, T=50.0),
                       SourceParams(sigma=1.0, mu_s=0.0, mu_i=0.0),
-                      (g, amp), (g, amp))
+                      PULSE_LENGTH_FACTOR * rms_time_width(g, amp), (g, amp))
         assert value == 50.0
 
     def test_fig1_pipeline_window_dominated(self):

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from heraldsim import numerics
 from heraldsim.numerics import (
     _legendre_rule,
+    abs_squared,
     build_grid,
     hermitian_eigen,
     legendre_tail,
@@ -253,6 +254,19 @@ class TestLegendreRecurrence:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestAbsSquared:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_bitwise_abs_power_two(self, dtype):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(64, 48)) * 10.0 ** rng.uniform(-320, 150, (64, 48))
+        if dtype is complex:
+            a = a + 1j * rng.normal(size=a.shape) * 10.0 ** rng.uniform(-320, 150, a.shape)
+        a.flat[:4] = [0.0, -0.0, 5e-324, np.finfo(float).tiny]
+        got = abs_squared(a)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), (np.abs(a) ** 2).view(np.int64))
 
 
 class TestLegendreTail:

@@ -9,6 +9,7 @@ from heraldsim.povm import (
     DetectionModeSet,
     DetectorParams,
     detection_modes,
+    legendre_terms,
     povm_weights,
 )
 from heraldsim.scenarios import auto_mode_count, evaluate_pipeline, preset
@@ -18,8 +19,9 @@ def modes_for_c(c, n_grid=256, m_modes=12, B=2 * np.pi):
     return detection_modes(DetectorParams(B=B, T=4 * c / B), n_grid, m_modes)
 
 
-def dense_detection_modes(d, n_grid, m_modes):
-    """Reference solve of the full n x n weighted kernel, blind to parity."""
+def dense_detection_modes(d, n_grid, m_modes, basis=None):
+    """Reference solve of the full n x n weighted kernel, blind to parity.
+    ``basis`` is taken as the pipeline passes it, and not used."""
     grid = build_grid(-0.5 * d.B, 0.5 * d.B, n_grid)
     dw = grid.nodes[:, None] - grid.nodes[None, :]
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -46,6 +48,16 @@ class TestDetectorParams:
 
 
 class TestDetectionModes:
+    @pytest.mark.parametrize("c, n_grid, m_modes", [(0.35, 256, 12), (7.0, 63, 15)])
+    def test_given_basis_gives_the_same_modes(self, c, n_grid, m_modes):
+        d = DetectorParams(B=2 * np.pi, T=4 * c / (2 * np.pi))
+        basis = povm.band_basis(d.B, n_grid, legendre_terms(c, m_modes))
+        a = detection_modes(d, n_grid, m_modes)
+        b = detection_modes(d, n_grid, m_modes, basis=basis)
+        assert b.grid_s is basis[0]
+        assert np.array_equal(a.grid_s.nodes, b.grid_s.nodes)
+        assert np.array_equal(a.modes, b.modes) and np.array_equal(a.chi, b.chi)
+
     @pytest.mark.parametrize("c", [0.1, 0.35, np.pi / 4, 1.0, 3.0, 7.0])
     def test_trace_identity(self, c):
         m = modes_for_c(c)

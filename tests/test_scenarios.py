@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heraldsim import jsa, scenarios
+from heraldsim import jsa, povm, scenarios
+from heraldsim.herald import PULSE_LENGTH_FACTOR
 from heraldsim.jsa import JsaField, SourceParams
+from heraldsim.numerics import rms_time_width
 from heraldsim.povm import DetectorParams, legendre_terms
 from heraldsim.scenarios import (
     CHOP_TOL,
@@ -16,8 +18,11 @@ from heraldsim.scenarios import (
     PRESETS,
     ConfigError,
     Scenario,
+    SourceSamples,
     SweepSpec,
+    auto_mode_count,
     format_report_csv,
+    format_sweep_csv,
     parse_config_text,
     preset,
     read_config,
@@ -331,6 +336,74 @@ class TestSweepReuse:
         # every point of this sweep starts at n_s = 256 and refines twice
         run_sweep(replace(DEFECT, sweep=SweepSpec(20.0, 25.0, 3)))
         assert len(levels) == 2 * len(set(levels)) == 6
+
+
+class TestSweepStore:
+    """The sweep's store also holds the band's Legendre rows of one N, from
+    the second window on; the rows never change a number."""
+
+    def test_fig4_builds_band_rows_once_per_n(self, monkeypatch):
+        built = []
+        real = povm.legendre_vander
+
+        def counting(x, n_terms):
+            built.append(n_terms)
+            return real(x, n_terms)
+
+        monkeypatch.setattr(povm, "legendre_vander", counting)
+        s = preset("fig4")
+        terms = {legendre_terms(c, auto_mode_count(c))
+                 for c in (replace(s.detector, T=float(t)).c for t in s.sweep.values())}
+        assert len(run_sweep(s)) == 17 and len(terms) == 5
+        # the first window evaluates its rows without storing them
+        assert len(built) <= len(terms) + 1
+        assert set(built) == terms
+
+    def test_sweep_csv_equals_windows_alone(self):
+        s = preset("fig4")
+        alone = [(float(t), _at_window(s, t).detector.c, report)
+                 for t, report in zip(s.sweep.values(), _point_reports(s))]
+        assert format_sweep_csv(run_sweep(s)) == format_sweep_csv(alone)
+
+    def test_rows_are_stored_from_the_second_window(self):
+        s = preset("fig4")
+        store = {}
+
+        def rows_held():
+            return [v for v in store.values() if not isinstance(v, SourceSamples)]
+
+        run_scenario(_at_window(s, 1.0), source_samples=store)
+        assert len(store) == 1 and rows_held() == []
+        run_scenario(_at_window(s, 1.1), source_samples=store)
+        assert len(rows_held()) == 1
+        n_terms, (grid, rows) = rows_held()[0]
+        assert not rows.flags.writeable and rows.shape == (n_terms, grid.n)
+        # a window of a larger N replaces the rows; it does not add a set
+        run_scenario(_at_window(s, 4.0), source_samples=store)
+        assert len(rows_held()) == 1 and rows_held()[0][0] > n_terms
+
+    @pytest.mark.parametrize("name", [n for n in PRESETS if "sweep" not in PRESETS[n]])
+    def test_tau_sig_is_the_marginal_width(self, name):
+        s = preset(name)
+        result = run_scenario(s)
+        samples = scenarios.sample_source(s.source, s.detector.B, result.n_signal,
+                                          result.n_idler)
+        band = samples.jsa_band
+        marginal = np.sqrt(np.abs(band.values) ** 2 @ band.grid_i.weights)
+        assert samples.tau_sig == PULSE_LENGTH_FACTOR * rms_time_width(band.grid_s, marginal)
+
+
+class TestWriteTable:
+    def test_cells_are_the_fmt_text(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=100_000) * 10.0 ** rng.uniform(-300, 300, 100_000)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.1e-315, np.finfo(float).tiny,
+                   np.finfo(float).max, np.inf, -np.inf, np.nan, 1.0, -123456789.5]
+        values = np.concatenate([values, special, np.zeros(3)]).reshape(-1, 4)
+        path = tmp_path / "table.csv"
+        scenarios._write_table(path, "a,b,c,d", list(values.T))
+        want = ["a,b,c,d"] + [",".join(f"{v:.9g}" for v in row) for row in values.tolist()]
+        assert path.read_text() == "\n".join(want) + "\n"
 
 
 # every point a preset runs, and the defect at three windows
