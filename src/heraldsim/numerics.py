@@ -221,7 +221,7 @@ def hermitian_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     a_h = a.conj().T
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
+    scale = float(np.max(np.abs(a)))
     if np.max(np.abs(a - a_h)) > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(0.5 * (a + a_h))

@@ -148,12 +148,12 @@ def _prolate_expansion(c: float, m_modes: int) -> tuple[np.ndarray, np.ndarray]:
     return coef, chi
 
 
-def band_basis(B: float, n_grid: int, n_terms: int) -> tuple[FrequencyGrid, np.ndarray]:
-    """The ``n_grid``-node Gauss-Legendre grid on [-B/2, B/2] and the read-only
-    n_terms x n_grid normalized Legendre rows Pbar_k(2w/B), k < n_terms, at
-    its nodes: what ``detection_modes`` evaluates the mode expansions on."""
-    grid = build_grid(-0.5 * B, 0.5 * B, n_grid)
-    rows = legendre_vander(grid.nodes * (2.0 / B), n_terms)
+def band_basis(grid: FrequencyGrid, n_terms: int) -> tuple[FrequencyGrid, np.ndarray]:
+    """``grid``, a Gauss-Legendre grid on the band [-B/2, B/2], and the
+    read-only n_terms x grid.n normalized Legendre rows Pbar_k(2w/B),
+    k < n_terms, at its nodes: what ``detection_modes`` evaluates the mode
+    expansions on."""
+    rows = legendre_vander(grid.nodes * (2.0 / (grid.hi - grid.lo)), n_terms)
     rows.setflags(write=False)
     return grid, rows
 
@@ -177,23 +177,20 @@ def detection_modes(
     evaluates the polynomials at its nodes, so any n_grid is accepted; from
     N = ``legendre_terms(c, m_modes)`` nodes on, where the pipeline starts, the
     Gauss rule integrates the modes' products exactly.  ``basis``, when given,
-    is ``band_basis(d.B, n_grid, N)``, built once for every window that shares
-    B, n_grid and N; without it the grid and the rows are built here.
+    is ``band_basis(grid, N)`` on an ``n_grid``-node band grid, such as the
+    one the joint amplitude was sampled on; without it the grid and the rows
+    are built here.
     """
     if m_modes < 1:
         raise ValueError(f"need at least one mode, got {m_modes}")
 
-    # allocate the returned modes before the temporaries: the temporaries then
-    # lie above every live array on the heap, so freeing them returns the
-    # memory instead of leaving holes that raise the peak RSS of the JSA stage
-    # that follows
-    phi = np.empty((m_modes, n_grid))
     coef, chi = _prolate_expansion(d.c, m_modes)
     # unit-norm psi on [-1, 1] becomes (1/2pi) integral phi^2 dw = 1 on the band
     coef = coef * np.sqrt(4.0 * np.pi / d.B)
-    grid, rows = basis if basis is not None else band_basis(d.B, n_grid, chi.size)
-    np.matmul(coef.T, rows, out=phi)
-
+    if basis is None:
+        basis = band_basis(build_grid(-0.5 * d.B, 0.5 * d.B, n_grid), chi.size)
+    grid, rows = basis
+    phi = coef.T @ rows
     fix_column_phases(phi.T)
     return DetectionModeSet(grid_s=grid, modes=phi, chi=chi[:m_modes], chi_all=chi)
 

@@ -214,24 +214,24 @@ def evaluate_pipeline(
     *,
     source_samples: Optional[dict[tuple, object]] = None,
 ) -> PipelineResult:
-    """Run the full chain grids -> modes -> JSA -> collapse -> rho -> metrics.
+    """Run the full chain grids -> JSA -> modes -> collapse -> rho -> metrics.
 
     The signal grid has max(n_signal, N) nodes, N = ``legendre_terms(c, M)``
     the terms of each detection mode's expansion, so it integrates the modes'
-    products exactly.  Only the detection modes, and the stages after them,
-    depend on the window T, and the modes only through c and N.
+    products exactly.  The source is sampled first; the detection modes are
+    then evaluated on the grid its band field was sampled on.  Only the
+    modes, and the stages after them, depend on the window T, and the modes
+    only through c and N.
 
     ``source_samples``, when given, is the store that a sweep shares between
     its evaluations, and this call adds what it misses:
     - the source stage (``sample_source``), keyed by (source, B, n_s, n_i), so
       evaluations that share a source and a grid level sample the joint
       amplitude once;
-    - the band grid and its Legendre rows (``povm.band_basis``) for one N,
-      keyed by ("band", B, n_s), so windows that share N evaluate the rows
-      once.  Along a sweep N only grows with T, so rows of a new N replace
-      those of the last.  Rows are stored only when the store already holds
-      this level's source samples: they never sit beside the arrays that
-      sampling the source allocates and frees, which set the peak memory.
+    - the Legendre rows of one N on that level's band grid
+      (``povm.band_basis``), keyed by "band" and the same key, so windows that
+      share N evaluate the rows once.  Along a sweep N only grows with T, so
+      rows of a new N replace those of the last.
     Without a store, nothing outlives the call.
     """
     m = m_modes if m_modes is not None else auto_mode_count(detector.c)
@@ -239,18 +239,7 @@ def evaluate_pipeline(
     n_s = max(n_signal, n_terms)
     store = {} if source_samples is None else source_samples
     key = (source, detector.B, n_s, n_idler)
-    band_key = ("band", detector.B, n_s)
-
-    with _stage("detection-modes"):
-        held_terms, basis = store.get(band_key, (None, None))
-        if held_terms != n_terms:
-            basis = None
-            if key in store:
-                # N grows with T along a sweep, so these rows replace those of
-                # the last N: one set is held at a time
-                basis = band_basis(detector.B, n_s, n_terms)
-                store[band_key] = (n_terms, basis)
-        modes = detection_modes(detector, n_grid=n_s, m_modes=m, basis=basis)
+    band_key = ("band", *key)
 
     if key not in store:
         with _stage("jsa"):
@@ -258,6 +247,13 @@ def evaluate_pipeline(
     samples = store[key]
     jsa_band, norm_full = samples.jsa_band, samples.norm_full
     grid_i = jsa_band.grid_i
+
+    with _stage("detection-modes"):
+        held_terms, basis = store.get(band_key, (None, None))
+        if held_terms != n_terms:
+            basis = band_basis(jsa_band.grid_s, n_terms)
+            store[band_key] = (n_terms, basis)
+        modes = detection_modes(detector, n_grid=n_s, m_modes=m, basis=basis)
 
     with _stage("collapse"):
         # a calibrated scenario fixes P_pair itself, whatever kappa gives
@@ -320,8 +316,8 @@ def run_sweep(s: Scenario) -> list[tuple[float, float, MetricsReport]]:
     for the length of this call.  The source does not depend on T, so it is
     sampled, and tau_sig read, once per grid level for the whole sweep; the
     band's Legendre rows depend on T only through N, so they are evaluated
-    once per N from the second window on.  The store is dropped when this
-    call returns, so nothing is kept between sweeps.
+    once per N and grid level.  The store is dropped when this call returns,
+    so nothing is kept between sweeps.
     """
     if s.sweep is None:
         raise ConfigError("scenario has no sweep definition")

@@ -366,6 +366,9 @@ class TestHermitianEigen:
         a[1, 0] += 8e-10
         with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_eigen(a)
+        # entries below 1 set the scale too: no absolute floor of 1e-10
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eigen(np.array([[0.0, 1e-12], [0.0, 0.0]], dtype=dtype))
 
 
 class TestSinc:

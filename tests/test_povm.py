@@ -51,7 +51,8 @@ class TestDetectionModes:
     @pytest.mark.parametrize("c, n_grid, m_modes", [(0.35, 256, 12), (7.0, 63, 15)])
     def test_given_basis_gives_the_same_modes(self, c, n_grid, m_modes):
         d = DetectorParams(B=2 * np.pi, T=4 * c / (2 * np.pi))
-        basis = povm.band_basis(d.B, n_grid, legendre_terms(c, m_modes))
+        grid = build_grid(-0.5 * d.B, 0.5 * d.B, n_grid)
+        basis = povm.band_basis(grid, legendre_terms(c, m_modes))
         a = detection_modes(d, n_grid, m_modes)
         b = detection_modes(d, n_grid, m_modes, basis=basis)
         assert b.grid_s is basis[0]

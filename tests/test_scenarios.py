@@ -339,8 +339,8 @@ class TestSweepReuse:
 
 
 class TestSweepStore:
-    """The sweep's store also holds the band's Legendre rows of one N, from
-    the second window on; the rows never change a number."""
+    """The sweep's store also holds the band's Legendre rows of one N on the
+    grid its source samples were taken on; the rows never change a number."""
 
     def test_fig4_builds_band_rows_once_per_n(self, monkeypatch):
         built = []
@@ -355,8 +355,7 @@ class TestSweepStore:
         terms = {legendre_terms(c, auto_mode_count(c))
                  for c in (replace(s.detector, T=float(t)).c for t in s.sweep.values())}
         assert len(run_sweep(s)) == 17 and len(terms) == 5
-        # the first window evaluates its rows without storing them
-        assert len(built) <= len(terms) + 1
+        assert len(built) == len(terms)
         assert set(built) == terms
 
     def test_sweep_csv_equals_windows_alone(self):
@@ -365,7 +364,7 @@ class TestSweepStore:
                  for t, report in zip(s.sweep.values(), _point_reports(s))]
         assert format_sweep_csv(run_sweep(s)) == format_sweep_csv(alone)
 
-    def test_rows_are_stored_from_the_second_window(self):
+    def test_rows_are_stored_with_the_first_window(self):
         s = preset("fig4")
         store = {}
 
@@ -373,14 +372,20 @@ class TestSweepStore:
             return [v for v in store.values() if not isinstance(v, SourceSamples)]
 
         run_scenario(_at_window(s, 1.0), source_samples=store)
-        assert len(store) == 1 and rows_held() == []
-        run_scenario(_at_window(s, 1.1), source_samples=store)
-        assert len(rows_held()) == 1
+        assert len(store) == 2 and len(rows_held()) == 1
         n_terms, (grid, rows) = rows_held()[0]
         assert not rows.flags.writeable and rows.shape == (n_terms, grid.n)
         # a window of a larger N replaces the rows; it does not add a set
         run_scenario(_at_window(s, 4.0), source_samples=store)
-        assert len(rows_held()) == 1 and rows_held()[0][0] > n_terms
+        assert len(store) == 2 and rows_held()[0][0] > n_terms
+
+    def test_modes_share_the_band_field_grid(self):
+        s = preset("fig4")
+        store = {}
+        for t_value in (1.0, 1.1, 4.0):
+            result = run_scenario(_at_window(s, t_value), source_samples=store)
+            (samples,) = [v for v in store.values() if isinstance(v, SourceSamples)]
+            assert result.modes.grid_s is samples.jsa_band.grid_s
 
     @pytest.mark.parametrize("name", [n for n in PRESETS if "sweep" not in PRESETS[n]])
     def test_tau_sig_is_the_marginal_width(self, name):
