@@ -165,11 +165,15 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, w, tail
 
 
+@lru_cache(maxsize=32)
 def build_grid(lo: float, hi: float, n: int) -> FrequencyGrid:
     """Gauss-Legendre nodes and weights mapped onto [lo, hi].
 
     Exact for polynomials up to degree 2n - 1. The rule on [-1, 1] is built
     once per n by Newton's method (``_legendre_rule``) and shared read-only.
+    The grid is immutable, so it is built once per (lo, hi, n) and shared:
+    two callers that ask for the same band get the same object.  At most 32
+    grids are kept, of 16 n bytes of nodes and weights each.
     """
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("endpoints must be finite")

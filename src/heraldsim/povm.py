@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .numerics import (
     FrequencyGrid,
     build_grid,
     fix_column_phases,
-    hermitian_eigen,
     legendre_vander,
 )
 
@@ -125,21 +123,18 @@ def _prolate_expansion(c: float, m_modes: int) -> tuple[np.ndarray, np.ndarray]:
     at_0 = (scale[0::2] * p_at_0, scale[1::2] * k[1::2] * p_at_0)
     mu_factor = (np.sqrt(2.0), c * np.sqrt(2.0 / 3.0))
 
-    coefs, chis = [], []
-    for parity in (0, 1):
-        # the negated operator, built in place: hermitian_eigen sorts
-        # descending, which lists the prolate eigenvalues ascending
-        block = np.zeros((half, half))
-        block.flat[::half + 1] = -diag[parity::2]
-        block.flat[1::half + 1] = block.flat[half::half + 1] = -upper[parity::2]
-        _, beta = hermitian_eigen(block)
-        mu = mu_factor[parity] * beta[0] / (at_0[parity] @ beta)
-        coefs.append(beta)
-        chis.append(c * mu**2 / (2.0 * np.pi))
-
+    # both blocks in one stacked solve; eigh lists eigenvalues ascending,
+    # which is mode order
+    blocks = np.zeros((2, half, half))
+    for parity, block in enumerate(blocks):
+        block.flat[::half + 1] = diag[parity::2]
+        block.flat[1::half + 1] = block.flat[half::half + 1] = upper[parity::2]
+    _, coefs = np.linalg.eigh(blocks)
     # chi falls strictly with n (Slepian & Pollak 1961): interleave, even first
     chi = np.empty(n_terms)
-    chi[0::2], chi[1::2] = chis
+    for parity, beta in enumerate(coefs):
+        mu = mu_factor[parity] * beta[0] / (at_0[parity] @ beta)
+        chi[parity::2] = c * mu**2 / (2.0 * np.pi)
     coef = np.zeros((n_terms, m_modes))
     coef[0::2, 0::2] = coefs[0][:, :(m_modes + 1) // 2]
     coef[1::2, 1::2] = coefs[1][:, :m_modes // 2]
@@ -148,22 +143,20 @@ def _prolate_expansion(c: float, m_modes: int) -> tuple[np.ndarray, np.ndarray]:
     return coef, chi
 
 
-def band_basis(grid: FrequencyGrid, n_terms: int) -> tuple[FrequencyGrid, np.ndarray]:
-    """``grid``, a Gauss-Legendre grid on the band [-B/2, B/2], and the
-    read-only n_terms x grid.n normalized Legendre rows Pbar_k(2w/B),
-    k < n_terms, at its nodes: what ``detection_modes`` evaluates the mode
-    expansions on."""
+@lru_cache(maxsize=16)
+def _band_rows(B: float, n_grid: int, n_terms: int) -> np.ndarray:
+    """The read-only n_terms x n_grid normalized Legendre rows Pbar_k(2w/B),
+    k < n_terms, at the nodes of ``build_grid(-B/2, B/2, n_grid)``: what
+    ``detection_modes`` evaluates the mode expansions on, built once per
+    (B, n_grid, n_terms).  At most 16 tables are kept, of 8 n_terms n_grid
+    bytes each."""
+    grid = build_grid(-0.5 * B, 0.5 * B, n_grid)
     rows = legendre_vander(grid.nodes * (2.0 / (grid.hi - grid.lo)), n_terms)
     rows.setflags(write=False)
-    return grid, rows
+    return rows
 
 
-def detection_modes(
-    d: DetectorParams,
-    n_grid: int,
-    m_modes: int,
-    basis: Optional[tuple[FrequencyGrid, np.ndarray]] = None,
-) -> DetectionModeSet:
+def detection_modes(d: DetectorParams, n_grid: int, m_modes: int) -> DetectionModeSet:
     """Eigenmodes and eigenvalues of the band-limiting/time-windowing operator.
 
     Returns the top ``m_modes`` eigenpairs, the modes sampled on an
@@ -176,10 +169,10 @@ def detection_modes(
     and are solved once per pair (``_prolate_expansion``); each grid only
     evaluates the polynomials at its nodes, so any n_grid is accepted; from
     N = ``legendre_terms(c, m_modes)`` nodes on, where the pipeline starts, the
-    Gauss rule integrates the modes' products exactly.  ``basis``, when given,
-    is ``band_basis(grid, N)`` on an ``n_grid``-node band grid, such as the
-    one the joint amplitude was sampled on; without it the grid and the rows
-    are built here.
+    Gauss rule integrates the modes' products exactly.  The grid is the one
+    ``build_grid`` caches, so it is the grid a joint amplitude sampled on the
+    same band and size was sampled on, and the rows at its nodes are built
+    once per N (``_band_rows``).
     """
     if m_modes < 1:
         raise ValueError(f"need at least one mode, got {m_modes}")
@@ -187,10 +180,8 @@ def detection_modes(
     coef, chi = _prolate_expansion(d.c, m_modes)
     # unit-norm psi on [-1, 1] becomes (1/2pi) integral phi^2 dw = 1 on the band
     coef = coef * np.sqrt(4.0 * np.pi / d.B)
-    if basis is None:
-        basis = band_basis(build_grid(-0.5 * d.B, 0.5 * d.B, n_grid), chi.size)
-    grid, rows = basis
-    phi = coef.T @ rows
+    grid = build_grid(-0.5 * d.B, 0.5 * d.B, n_grid)
+    phi = coef.T @ _band_rows(d.B, n_grid, chi.size)
     fix_column_phases(phi.T)
     return DetectionModeSet(grid_s=grid, modes=phi, chi=chi[:m_modes], chi_all=chi)
 

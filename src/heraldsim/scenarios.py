@@ -26,7 +26,6 @@ from .numerics import abs_squared, build_grid, legendre_tail, rms_time_width
 from .povm import (
     DetectionModeSet,
     DetectorParams,
-    band_basis,
     detection_modes,
     legendre_terms,
     povm_weights,
@@ -44,18 +43,19 @@ DEFAULT_M_MODES = 12
 # the most times run_scenario doubles both grids
 MAX_REFINEMENTS = 3
 # A level is resolved when the top n // 8 Legendre degrees of its joint
-# amplitude fields hold at most this share of their weight (legendre_tail);
-# its signal grid already has n_s >= N, the terms of each mode's expansion.
-# The amplitude is entire, so its coefficients from degree n on are smaller
-# still, and a tail tau leaves each field a polynomial of degree < 7n/8 up to
-# a relative L2 remainder of about tau.  The Gauss rule integrates exactly the
-# product of such a polynomial with one of degree < 9n/8: |field|^2 (the
-# norm), phi_m times the field with phi_m of degree < n_s (the collapse), and
-# the idler products that build rho.  The norm, the collapse and rho thus
-# carry relative quadrature errors of about 2 tau = 2e-6, three orders below
-# the tolerances on H and D_s.  The bound sits 40x above the largest tail of
-# a resolved preset field (2.4e-8, the fiber presets' full-support fields)
-# and 1e4x below that of an unresolved level (1.9e-2: sigma = 1, mu_s = 200,
+# amplitude fields hold at most this share tau of their weight
+# (legendre_tail); its signal grid already has n_s >= N, the terms of each
+# mode's expansion.  The n-node Gauss rule integrates exactly the products of
+# the fields' parts of degree < n: |field|^2 (the norm), phi_m times the field
+# with phi_m of degree < n_s (the collapse), and the idler products that build
+# rho.  The degrees >= n, which the rule aliases onto lower ones, enter only
+# in products, so the errors go as tau^2, not tau.  Measured against
+# 1024/1536, |dH| and |dD_s| / D_s stayed below tau^2 in all six cases tried
+# (fig3 at 32/32 to 64/64, fig5-180ps at 64/96 and 128/192, fig1 at 128/192):
+# fig3 at 64/64 has tau = 3.6e-5, and both errors are about 3e-15.  The bound
+# thus stands for errors near 1e-12.  It sits 40x above the largest tail of a
+# resolved preset field (2.4e-8, the fiber presets' full-support fields) and
+# 1e4x below that of an unresolved level (1.9e-2: sigma = 1, mu_s = 200,
 # mu_i = 0, B = 4 pi at 360/384, resolved only at 1024/1536).
 CHOP_TOL = 1e-6
 
@@ -212,34 +212,27 @@ def evaluate_pipeline(
     pair_probability_target: Optional[float] = None,
     external_efficiency: Optional[float] = None,
     *,
-    source_samples: Optional[dict[tuple, object]] = None,
+    source_samples: Optional[dict[tuple, SourceSamples]] = None,
 ) -> PipelineResult:
     """Run the full chain grids -> JSA -> modes -> collapse -> rho -> metrics.
 
     The signal grid has max(n_signal, N) nodes, N = ``legendre_terms(c, M)``
     the terms of each detection mode's expansion, so it integrates the modes'
     products exactly.  The source is sampled first; the detection modes are
-    then evaluated on the grid its band field was sampled on.  Only the
-    modes, and the stages after them, depend on the window T, and the modes
-    only through c and N.
+    then evaluated on the same band grid, which ``build_grid`` shares.  Only
+    the modes, and the stages after them, depend on the window T, and the
+    modes only through c and N.
 
     ``source_samples``, when given, is the store that a sweep shares between
-    its evaluations, and this call adds what it misses:
-    - the source stage (``sample_source``), keyed by (source, B, n_s, n_i), so
-      evaluations that share a source and a grid level sample the joint
-      amplitude once;
-    - the Legendre rows of one N on that level's band grid
-      (``povm.band_basis``), keyed by "band" and the same key, so windows that
-      share N evaluate the rows once.  Along a sweep N only grows with T, so
-      rows of a new N replace those of the last.
-    Without a store, nothing outlives the call.
+    its evaluations: the source stage (``sample_source``), keyed by
+    (source, B, n_s, n_i), so evaluations that share a source and a grid level
+    sample the joint amplitude once.  This call adds the level it misses.
+    Without a store, no source samples outlive the call.
     """
     m = m_modes if m_modes is not None else auto_mode_count(detector.c)
-    n_terms = legendre_terms(detector.c, m)
-    n_s = max(n_signal, n_terms)
+    n_s = max(n_signal, legendre_terms(detector.c, m))
     store = {} if source_samples is None else source_samples
     key = (source, detector.B, n_s, n_idler)
-    band_key = ("band", *key)
 
     if key not in store:
         with _stage("jsa"):
@@ -249,11 +242,7 @@ def evaluate_pipeline(
     grid_i = jsa_band.grid_i
 
     with _stage("detection-modes"):
-        held_terms, basis = store.get(band_key, (None, None))
-        if held_terms != n_terms:
-            basis = band_basis(jsa_band.grid_s, n_terms)
-            store[band_key] = (n_terms, basis)
-        modes = detection_modes(detector, n_grid=n_s, m_modes=m, basis=basis)
+        modes = detection_modes(detector, n_grid=n_s, m_modes=m)
 
     with _stage("collapse"):
         # a calibrated scenario fixes P_pair itself, whatever kappa gives
@@ -285,7 +274,7 @@ def run_scenario(
     s: Scenario,
     refine: bool = True,
     *,
-    source_samples: Optional[dict[tuple, object]] = None,
+    source_samples: Optional[dict[tuple, SourceSamples]] = None,
 ) -> PipelineResult:
     """Evaluate a scenario, doubling both grids until a level is resolved.
 
@@ -315,13 +304,13 @@ def run_sweep(s: Scenario) -> list[tuple[float, float, MetricsReport]]:
     The windows share one store (``evaluate_pipeline``'s ``source_samples``)
     for the length of this call.  The source does not depend on T, so it is
     sampled, and tau_sig read, once per grid level for the whole sweep; the
-    band's Legendre rows depend on T only through N, so they are evaluated
-    once per N and grid level.  The store is dropped when this call returns,
-    so nothing is kept between sweeps.
+    store is dropped when this call returns, so no source is kept between
+    sweeps.  The band's Legendre rows depend on T only through N, and
+    ``povm`` caches them per N and grid level.
     """
     if s.sweep is None:
         raise ConfigError("scenario has no sweep definition")
-    source_samples: dict[tuple, object] = {}
+    source_samples: dict[tuple, SourceSamples] = {}
     rows = []
     for t_value in s.sweep.values():
         detector = replace(s.detector, T=float(t_value))

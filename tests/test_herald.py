@@ -494,3 +494,32 @@ class TestPipelineInvariants:
         collapsed = collapsed_wavefunctions(field, modes)
         weighted = modes.chi * (np.abs(collapsed) ** 2 @ grid_i.weights)
         assert result.report.h >= weighted.max() / weighted.sum() - 1e-12
+
+
+class TestSmallWindowLimit:
+    """As c -> 0 the detection modes tend to the normalized Legendre
+    polynomials Pbar_n(2w/B) and chi_1 / chi_0 -> c^2 / 9 (Slepian, J. Math.
+    Phys. 44, 99 (1965)), so 1 - H = kappa c^2 + O(c^4) with
+    kappa = (|Phi_1|^2 |Phi_0|^2 - |<Phi_0, Phi_1>|^2) / (9 |Phi_0|^4) and
+    Phi_k the band field integrated against Pbar_k.  kappa needs no prolate
+    solve: two polynomials of degree <= 1."""
+
+    @pytest.mark.parametrize("phase", [False, True], ids=["phase-off", "phase-on"])
+    @pytest.mark.parametrize("c", [0.1, 0.01])
+    @pytest.mark.parametrize("name", ["fig3", "fig1", "fig5-180ps", "fig5-wideband"])
+    def test_one_minus_h_is_kappa_c_squared(self, name, c, phase):
+        s = preset(name)
+        s = replace(s, source=replace(s.source, include_group_delay_phase=phase),
+                    detector=replace(s.detector, T=4.0 * c / s.detector.B))
+        result = run_scenario(s)
+        band = scenarios.sample_source(s.source, s.detector.B, result.n_signal,
+                                       result.n_idler).jsa_band
+        x = band.grid_s.nodes * (2.0 / s.detector.B)
+        pbar = np.array([np.full_like(x, np.sqrt(0.5)), np.sqrt(1.5) * x])
+        phi0, phi1 = (pbar * band.grid_s.weights) @ band.values
+        w_i = band.grid_i.weights
+        n0, n1 = w_i @ np.abs(phi0) ** 2, w_i @ np.abs(phi1) ** 2
+        overlap = np.abs(w_i @ (np.conj(phi0) * phi1)) ** 2
+        kappa = (n1 * n0 - overlap) / (9.0 * n0**2)
+        ratio = (1.0 - result.report.h) / (kappa * c**2)
+        assert abs(ratio - 1.0) <= 0.2 * c**2

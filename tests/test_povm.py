@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,16 +13,15 @@ from heraldsim.povm import (
     legendre_terms,
     povm_weights,
 )
-from heraldsim.scenarios import auto_mode_count, evaluate_pipeline, preset
+from heraldsim.scenarios import MAX_REFINEMENTS, auto_mode_count, evaluate_pipeline, preset
 
 
 def modes_for_c(c, n_grid=256, m_modes=12, B=2 * np.pi):
     return detection_modes(DetectorParams(B=B, T=4 * c / B), n_grid, m_modes)
 
 
-def dense_detection_modes(d, n_grid, m_modes, basis=None):
-    """Reference solve of the full n x n weighted kernel, blind to parity.
-    ``basis`` is taken as the pipeline passes it, and not used."""
+def dense_detection_modes(d, n_grid, m_modes):
+    """Reference solve of the full n x n weighted kernel, blind to parity."""
     grid = build_grid(-0.5 * d.B, 0.5 * d.B, n_grid)
     dw = grid.nodes[:, None] - grid.nodes[None, :]
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -49,15 +49,31 @@ class TestDetectorParams:
 
 class TestDetectionModes:
     @pytest.mark.parametrize("c, n_grid, m_modes", [(0.35, 256, 12), (7.0, 63, 15)])
-    def test_given_basis_gives_the_same_modes(self, c, n_grid, m_modes):
+    def test_modes_are_on_the_shared_band_grid(self, c, n_grid, m_modes):
         d = DetectorParams(B=2 * np.pi, T=4 * c / (2 * np.pi))
-        grid = build_grid(-0.5 * d.B, 0.5 * d.B, n_grid)
-        basis = povm.band_basis(grid, legendre_terms(c, m_modes))
         a = detection_modes(d, n_grid, m_modes)
-        b = detection_modes(d, n_grid, m_modes, basis=basis)
-        assert b.grid_s is basis[0]
-        assert np.array_equal(a.grid_s.nodes, b.grid_s.nodes)
-        assert np.array_equal(a.modes, b.modes) and np.array_equal(a.chi, b.chi)
+        assert a.grid_s is build_grid(-0.5 * d.B, 0.5 * d.B, n_grid)
+        b = detection_modes(d, n_grid, m_modes)
+        assert b.grid_s is a.grid_s
+        # the cached tables give the numbers that building them anew gives
+        build_grid.cache_clear()
+        povm._band_rows.cache_clear()
+        povm._prolate_expansion.cache_clear()
+        for other in (b, detection_modes(d, n_grid, m_modes)):
+            assert np.array_equal(a.grid_s.nodes, other.grid_s.nodes)
+            assert np.array_equal(a.modes, other.modes) and np.array_equal(a.chi, other.chi)
+
+    def test_cached_tables_are_read_only(self):
+        d = DetectorParams(B=2 * np.pi, T=0.5)
+        grid = build_grid(-0.5 * d.B, 0.5 * d.B, 64)
+        rows = povm._band_rows(d.B, 64, legendre_terms(d.c, 12))
+        assert rows.shape == (legendre_terms(d.c, 12), 64)
+        coef, chi = povm._prolate_expansion(d.c, 12)
+        for table in (grid.nodes, grid.weights, rows, coef, chi):
+            with pytest.raises(ValueError, match="read-only"):
+                table.flat[0] = 0.0
+        with pytest.raises(AttributeError):
+            grid.nodes = np.zeros(64)
 
     @pytest.mark.parametrize("c", [0.1, 0.35, np.pi / 4, 1.0, 3.0, 7.0])
     def test_trace_identity(self, c):
@@ -208,35 +224,34 @@ class TestParityBlocksAgainstDenseReference:
             assert parity <= 1e-12 * scale
 
     def test_two_grid_independent_blocks(self, monkeypatch):
-        orders = []
-        real = povm.hermitian_eigen
+        shapes = []
+        real = np.linalg.eigh
 
         def recording(a, *args, **kwargs):
-            orders.append(len(a))
+            shapes.append(np.shape(a))
             return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(povm, "hermitian_eigen", recording)
+        monkeypatch.setattr(np.linalg, "eigh", recording)
         povm._prolate_expansion.cache_clear()
         d = DetectorParams(B=2 * np.pi, T=0.5)
         for n_grid in (256, 512, 1024):
             detection_modes(d, n_grid, 12)
         # the two blocks depend on (c, M), not on the grid: solved once in all
-        assert len(orders) == 2
-        # N = ceil(c + M + 40) Legendre terms, split between the two parities
-        assert max(orders) <= math.ceil(d.c + 12 + 40) // 2 + 1
+        info = povm._prolate_expansion.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        # N = ceil(c + M + 40) Legendre terms, split evenly between the two
+        # parities, both blocks in one stacked solve
+        n_terms = legendre_terms(d.c, 12)
+        assert n_terms // 2 <= math.ceil(d.c + 12 + 40) // 2 + 1
+        assert shapes == [(2, n_terms // 2, n_terms // 2)]
 
-    def test_refinement_levels_share_one_solve(self, monkeypatch):
-        calls = []
-        real = povm.hermitian_eigen
-
-        def counting(a, *args, **kwargs):
-            calls.append(len(a))
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(povm, "hermitian_eigen", counting)
+    def test_refinement_levels_share_one_solve(self):
         povm._prolate_expansion.cache_clear()
-        scenarios.run_scenario(preset("fig3"))
-        assert len(calls) == 2  # one even and one odd block for both levels
+        # grids this small make run_scenario refine through every level
+        result = scenarios.run_scenario(replace(preset("fig3"), n_signal=16, n_idler=16))
+        assert result.n_idler == 16 * 2**MAX_REFINEMENTS
+        info = povm._prolate_expansion.cache_info()
+        assert (info.misses, info.hits) == (1, MAX_REFINEMENTS)
 
     def test_odd_grid_pipeline_matches_dense_modes(self, monkeypatch):
         # the default grids are always even; an odd --grid-signal puts a band

@@ -339,8 +339,9 @@ class TestSweepReuse:
 
 
 class TestSweepStore:
-    """The sweep's store also holds the band's Legendre rows of one N on the
-    grid its source samples were taken on; the rows never change a number."""
+    """The sweep's store holds the source samples of each grid level; the band's
+    Legendre rows of one N on that level's grid are cached in ``povm``.  Neither
+    changes a number."""
 
     def test_fig4_builds_band_rows_once_per_n(self, monkeypatch):
         built = []
@@ -351,6 +352,7 @@ class TestSweepStore:
             return real(x, n_terms)
 
         monkeypatch.setattr(povm, "legendre_vander", counting)
+        povm._band_rows.cache_clear()
         s = preset("fig4")
         terms = {legendre_terms(c, auto_mode_count(c))
                  for c in (replace(s.detector, T=float(t)).c for t in s.sweep.values())}
@@ -364,20 +366,19 @@ class TestSweepStore:
                  for t, report in zip(s.sweep.values(), _point_reports(s))]
         assert format_sweep_csv(run_sweep(s)) == format_sweep_csv(alone)
 
-    def test_rows_are_stored_with_the_first_window(self):
+    def test_store_holds_only_source_samples(self):
         s = preset("fig4")
         store = {}
-
-        def rows_held():
-            return [v for v in store.values() if not isinstance(v, SourceSamples)]
-
-        run_scenario(_at_window(s, 1.0), source_samples=store)
-        assert len(store) == 2 and len(rows_held()) == 1
-        n_terms, (grid, rows) = rows_held()[0]
-        assert not rows.flags.writeable and rows.shape == (n_terms, grid.n)
-        # a window of a larger N replaces the rows; it does not add a set
-        run_scenario(_at_window(s, 4.0), source_samples=store)
-        assert len(store) == 2 and rows_held()[0][0] > n_terms
+        for t_value in (1.0, 4.0):
+            run_scenario(_at_window(s, t_value), source_samples=store)
+            assert [type(v) for v in store.values()] == [SourceSamples]
+        # one entry per grid level that a run evaluates: the windows above
+        # share the default level, and a run from 16/16 adds all of its own
+        result = run_scenario(replace(_at_window(s, 1.0), n_signal=16, n_idler=16),
+                              source_samples=store)
+        assert result.n_idler == 16 * 2**MAX_REFINEMENTS
+        assert len(store) == 1 + (MAX_REFINEMENTS + 1)
+        assert all(isinstance(v, SourceSamples) for v in store.values())
 
     def test_modes_share_the_band_field_grid(self):
         s = preset("fig4")
