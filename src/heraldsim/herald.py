@@ -173,8 +173,8 @@ def t_min(
     The largest of: the measurement window T, the pump length 4/sigma, the
     filtered-signal pulse length ``tau_sig``, and the pulse length of the
     dominant heralded idler mode, PULSE_LENGTH_FACTOR times the RMS width of
-    its amplitude.  ``tau_sig`` does not depend on T, so a sweep reads it from
-    the source samples (``scenarios.SourceSamples``) shared by its windows.
+    its amplitude.  ``tau_sig`` does not depend on T, so it is read once per
+    source level (``scenarios.SourceSamples``), whatever the window.
     """
     tau_idl = PULSE_LENGTH_FACTOR * rms_time_width(*idler_mode0_amp)
     return max(d.T, 4.0 / p.sigma, tau_sig, tau_idl)

@@ -6,6 +6,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -172,8 +173,8 @@ class SourceSamples:
     Legendre tail of the full-support and band fields.
 
     tau_sig is PULSE_LENGTH_FACTOR times the RMS time width of the band
-    marginal sqrt(integral |jsa_band|^2 dw_i), read once per source level, so
-    the windows of a sweep share it.
+    marginal sqrt(integral |jsa_band|^2 dw_i).  ``sample_source`` holds the
+    samples of the last source, so the windows over one source share them.
     """
 
     jsa_band: JsaField  # band grid x idler grid
@@ -182,12 +183,27 @@ class SourceSamples:
     tail: float
 
 
+@lru_cache(maxsize=1)
+def _source_levels(source: SourceParams, B: float) -> dict[tuple[int, int], SourceSamples]:
+    """The grid levels {(n_s, n_i): SourceSamples} that ``sample_source`` has
+    sampled for the last (source, B) it was called with.  After a call
+    returns, only that pair's levels are held: one band field of n_s x n_i
+    amplitudes per level, with its norm, tail and tau_sig.  A call for another
+    pair drops them before ``sample_source`` samples its own, so the fields of
+    two sources are never held together."""
+    return {}
+
+
 def sample_source(source: SourceParams, B: float, n_s: int, n_i: int) -> SourceSamples:
-    """Sample the joint amplitude for a filter band B on n_s x n_i grids.
+    """Sample the joint amplitude for a filter band B on n_s x n_i grids, or
+    return the level held for the last (source, B) (``_source_levels``).
 
     The full-support field is reduced to its norm and its Legendre tail before
     the band is sampled, so only the band field is kept.
     """
+    levels = _source_levels(source, B)
+    if (n_s, n_i) in levels:
+        return levels[n_s, n_i]
     w_s, w_i = support_half_widths(source, B)
     grid_s_full = build_grid(-w_s, w_s, n_s)
     grid_i = build_grid(-w_i, w_i, n_i)
@@ -199,8 +215,9 @@ def sample_source(source: SourceParams, B: float, n_s: int, n_i: int) -> SourceS
     marginal = np.sqrt(abs_squared(jsa_band.values) @ grid_i.weights)
     tau_sig = PULSE_LENGTH_FACTOR * rms_time_width(jsa_band.grid_s, marginal)
     tail = max(tail_full, legendre_tail(jsa_band.values))
-    return SourceSamples(jsa_band=jsa_band, norm_full=norm_full, tau_sig=tau_sig,
-                         tail=tail)
+    samples = levels[n_s, n_i] = SourceSamples(jsa_band=jsa_band, norm_full=norm_full,
+                                               tau_sig=tau_sig, tail=tail)
+    return samples
 
 
 def evaluate_pipeline(
@@ -211,33 +228,22 @@ def evaluate_pipeline(
     m_modes: Optional[int] = None,
     pair_probability_target: Optional[float] = None,
     external_efficiency: Optional[float] = None,
-    *,
-    source_samples: Optional[dict[tuple, SourceSamples]] = None,
 ) -> PipelineResult:
     """Run the full chain grids -> JSA -> modes -> collapse -> rho -> metrics.
 
     The signal grid has max(n_signal, N) nodes, N = ``legendre_terms(c, M)``
     the terms of each detection mode's expansion, so it integrates the modes'
-    products exactly.  The source is sampled first; the detection modes are
-    then evaluated on the same band grid, which ``build_grid`` shares.  Only
-    the modes, and the stages after them, depend on the window T, and the
-    modes only through c and N.
-
-    ``source_samples``, when given, is the store that a sweep shares between
-    its evaluations: the source stage (``sample_source``), keyed by
-    (source, B, n_s, n_i), so evaluations that share a source and a grid level
-    sample the joint amplitude once.  This call adds the level it misses.
-    Without a store, no source samples outlive the call.
+    products exactly.  The source is sampled first (``sample_source``, which
+    holds the last source's levels); the detection modes are then evaluated
+    on the same band grid, which ``build_grid`` shares.  Only the modes, and
+    the stages after them, depend on the window T, and the modes only through
+    c and N.
     """
     m = m_modes if m_modes is not None else auto_mode_count(detector.c)
     n_s = max(n_signal, legendre_terms(detector.c, m))
-    store = {} if source_samples is None else source_samples
-    key = (source, detector.B, n_s, n_idler)
 
-    if key not in store:
-        with _stage("jsa"):
-            store[key] = sample_source(source, detector.B, n_s, n_idler)
-    samples = store[key]
+    with _stage("jsa"):
+        samples = sample_source(source, detector.B, n_s, n_idler)
     jsa_band, norm_full = samples.jsa_band, samples.norm_full
     grid_i = jsa_band.grid_i
 
@@ -270,12 +276,7 @@ def evaluate_pipeline(
                           n_idler=n_idler)
 
 
-def run_scenario(
-    s: Scenario,
-    refine: bool = True,
-    *,
-    source_samples: Optional[dict[tuple, SourceSamples]] = None,
-) -> PipelineResult:
+def run_scenario(s: Scenario, refine: bool = True) -> PipelineResult:
     """Evaluate a scenario, doubling both grids until a level is resolved.
 
     Each level's signal grid holds at least the N Legendre terms of the
@@ -285,14 +286,13 @@ def run_scenario(
     itself and no finer level is evaluated to check it.  The first resolved
     level is returned.  At most MAX_REFINEMENTS doublings are made; when no
     level is resolved, the finest is returned with ``report.resolved`` False.
-    With ``refine`` False the first level is returned, resolved or not.
-    ``source_samples`` is passed on to ``evaluate_pipeline``."""
+    With ``refine`` False the first level is returned, resolved or not."""
     n_s, n_i = s.n_signal, s.n_idler
     for level in range(MAX_REFINEMENTS + 1 if refine else 1):
         result = evaluate_pipeline(
             s.source, s.detector, n_signal=n_s * 2**level, n_idler=n_i * 2**level,
             m_modes=s.m_modes, pair_probability_target=s.pair_probability,
-            external_efficiency=s.external_efficiency, source_samples=source_samples)
+            external_efficiency=s.external_efficiency)
         if result.report.resolved:
             break
     return result
@@ -301,21 +301,17 @@ def run_scenario(
 def run_sweep(s: Scenario) -> list[tuple[float, float, MetricsReport]]:
     """Evaluate the scenario at each sweep point; rows ascend in T.
 
-    The windows share one store (``evaluate_pipeline``'s ``source_samples``)
-    for the length of this call.  The source does not depend on T, so it is
-    sampled, and tau_sig read, once per grid level for the whole sweep; the
-    store is dropped when this call returns, so no source is kept between
-    sweeps.  The band's Legendre rows depend on T only through N, and
-    ``povm`` caches them per N and grid level.
+    The source does not depend on T, and ``sample_source`` holds the last
+    source's levels, so the source is sampled, and tau_sig read, once per
+    grid level for the whole sweep.  The band's Legendre rows depend on T only
+    through N, and ``povm`` caches them per N and grid level.
     """
     if s.sweep is None:
         raise ConfigError("scenario has no sweep definition")
-    source_samples: dict[tuple, SourceSamples] = {}
     rows = []
     for t_value in s.sweep.values():
         detector = replace(s.detector, T=float(t_value))
-        point = replace(s, detector=detector, sweep=None)
-        result = run_scenario(point, source_samples=source_samples)
+        result = run_scenario(replace(s, detector=detector, sweep=None))
         rows.append((float(t_value), detector.c, result.report))
     return rows
 

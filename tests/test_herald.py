@@ -523,3 +523,33 @@ class TestSmallWindowLimit:
         kappa = (n1 * n0 - overlap) / (9.0 * n0**2)
         ratio = (1.0 - result.report.h) / (kappa * c**2)
         assert abs(ratio - 1.0) <= 0.2 * c**2
+
+
+class TestLongWindowLimit:
+    """As c -> oo the detection POVM tends to the projector onto the filter
+    band.  So H tends to p0, the largest Schmidt weight of the sqrt(w)-weighted
+    band field, and D_s to eta |Phi_band|^2 / norm_full; both gaps fall as
+    1/c, H's from above and D_s's from below.  Neither limit needs a prolate
+    solve.  The limits are read at 1024/1536, where p0 is 0.851385 on fig3 and
+    0.409045 on fig5-180ps."""
+
+    @pytest.mark.parametrize("name", ["fig3", "fig5-180ps"])
+    def test_gaps_fall_as_one_over_c(self, name):
+        s = preset(name)
+        samples = scenarios.sample_source(s.source, s.detector.B, 1024, 1536)
+        band = samples.jsa_band
+        a = np.sqrt(band.grid_s.weights)[:, None] * band.values * np.sqrt(band.grid_i.weights)
+        # the squared singular values of a are the eigenvalues of a a^T
+        schmidt = np.linalg.eigvalsh(a @ a.T)
+        p0 = schmidt[-1] / schmidt.sum()
+        limit = s.detector.eta * jsa_norm(band) / samples.norm_full
+        gaps = []
+        for c in (64.0, 256.0):
+            report = run_scenario(replace(s, detector=replace(s.detector,
+                                                              T=4.0 * c / s.detector.B))).report
+            assert report.resolved
+            gaps.append((c * (report.h - p0), c * (report.d_s - limit)))
+        (h64, d64), (h256, d256) = gaps
+        assert h64 > 0 and d64 < 0
+        assert h256 == pytest.approx(h64, rel=0.01)
+        assert d256 == pytest.approx(d64, rel=0.01)

@@ -1,5 +1,6 @@
 import json
 import re
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -246,6 +247,7 @@ class TestRunScenario:
     def test_deterministic_csv(self):
         s = preset("fig3")
         a = format_report_csv(s, run_scenario(s).report)
+        scenarios._source_levels.cache_clear()  # sample the source again
         b = format_report_csv(s, run_scenario(s).report)
         assert a == b
 
@@ -293,8 +295,13 @@ def _at_window(s, t_value, name=None):
 
 
 def _point_reports(s):
-    """Reports of independent run_scenario calls at each of the sweep's T."""
-    return [run_scenario(_at_window(s, t)).report for t in s.sweep.values()]
+    """Reports of independent run_scenario calls at each of the sweep's T,
+    each sampling the source afresh."""
+    reports = []
+    for t in s.sweep.values():
+        scenarios._source_levels.cache_clear()
+        reports.append(run_scenario(_at_window(s, t)).report)
+    return reports
 
 
 # sigma = 1, mu_s = 200: the first two grid levels do not resolve the sinc
@@ -304,7 +311,7 @@ DEFECT = Scenario(name="defect", source=SourceParams(sigma=1.0, mu_s=200.0, mu_i
 
 
 class TestSweepReuse:
-    """A sweep shares the source samples between its points; its rows must be
+    """The points of a sweep share the held source samples; its rows must be
     bit-identical to evaluating each point on its own."""
 
     @pytest.mark.parametrize("s", [
@@ -337,11 +344,36 @@ class TestSweepReuse:
         run_sweep(replace(DEFECT, sweep=SweepSpec(20.0, 25.0, 3)))
         assert len(levels) == 2 * len(set(levels)) == 6
 
+    def test_windows_over_one_source_sample_it_once(self, monkeypatch):
+        # fig5-180ps and fig5-9ps share their source and band, and differ
+        # only in T: the second reads the first's samples
+        calls = []
+        real = scenarios.sample_jsa
+
+        def counting(p, grid_s, grid_i):
+            calls.append((grid_s.n, grid_i.n))
+            return real(p, grid_s, grid_i)
+
+        monkeypatch.setattr(scenarios, "sample_jsa", counting)
+        for name in ("fig5-180ps", "fig5-9ps"):
+            run_scenario(preset(name))
+        assert len(calls) == 2
+
+    def test_another_source_drops_the_held_samples(self):
+        s = preset("fig3")
+        result = run_scenario(s)
+        held = weakref.ref(scenarios.sample_source(s.source, s.detector.B,
+                                                   result.n_signal, result.n_idler))
+        assert held() is not None
+        run_scenario(preset("fig1"))
+        assert held() is None
+
 
 class TestSweepStore:
-    """The sweep's store holds the source samples of each grid level; the band's
-    Legendre rows of one N on that level's grid are cached in ``povm``.  Neither
-    changes a number."""
+    """``sample_source`` holds the source samples of each grid level of the
+    last source, which a sweep's windows share; the band's Legendre rows of
+    one N on that level's grid are cached in ``povm``.  Neither changes a
+    number."""
 
     def test_fig4_builds_band_rows_once_per_n(self, monkeypatch):
         built = []
@@ -368,24 +400,23 @@ class TestSweepStore:
 
     def test_store_holds_only_source_samples(self):
         s = preset("fig4")
-        store = {}
+        held = scenarios._source_levels(s.source, s.detector.B)
         for t_value in (1.0, 4.0):
-            run_scenario(_at_window(s, t_value), source_samples=store)
-            assert [type(v) for v in store.values()] == [SourceSamples]
-        # one entry per grid level that a run evaluates: the windows above
+            run_scenario(_at_window(s, t_value))
+            assert [type(v) for v in held.values()] == [SourceSamples]
+        # one level per grid level that a run evaluates: the windows above
         # share the default level, and a run from 16/16 adds all of its own
-        result = run_scenario(replace(_at_window(s, 1.0), n_signal=16, n_idler=16),
-                              source_samples=store)
+        result = run_scenario(replace(_at_window(s, 1.0), n_signal=16, n_idler=16))
         assert result.n_idler == 16 * 2**MAX_REFINEMENTS
-        assert len(store) == 1 + (MAX_REFINEMENTS + 1)
-        assert all(isinstance(v, SourceSamples) for v in store.values())
+        assert scenarios._source_levels(s.source, s.detector.B) is held
+        assert len(held) == 1 + (MAX_REFINEMENTS + 1)
+        assert all(isinstance(v, SourceSamples) for v in held.values())
 
     def test_modes_share_the_band_field_grid(self):
         s = preset("fig4")
-        store = {}
         for t_value in (1.0, 1.1, 4.0):
-            result = run_scenario(_at_window(s, t_value), source_samples=store)
-            (samples,) = [v for v in store.values() if isinstance(v, SourceSamples)]
+            result = run_scenario(_at_window(s, t_value))
+            (samples,) = scenarios._source_levels(s.source, s.detector.B).values()
             assert result.modes.grid_s is samples.jsa_band.grid_s
 
     @pytest.mark.parametrize("name", [n for n in PRESETS if "sweep" not in PRESETS[n]])
@@ -524,6 +555,7 @@ class TestRealField:
                             values=field.values.astype(complex))
 
         monkeypatch.setattr(scenarios, "sample_jsa", complex_field)
+        scenarios._source_levels.cache_clear()
         cast = scenarios.evaluate_pipeline(s.source, s.detector)
         assert real.state.eigenmodes.dtype == np.float64
         assert cast.state.eigenmodes.dtype == np.complex128
@@ -540,8 +572,9 @@ class TestPumpFloor:
     @staticmethod
     def assert_same_numbers(points):
         def results():
-            samples = {}  # shared between the points, as a sweep does
-            return [run_scenario(s, source_samples=samples) for s in points]
+            # the floor is not part of the held levels' key
+            scenarios._source_levels.cache_clear()
+            return [run_scenario(s) for s in points]
 
         floored = results()
         with pytest.MonkeyPatch.context() as mp:
