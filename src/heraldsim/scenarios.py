@@ -173,8 +173,9 @@ class SourceSamples:
     Legendre tail of the full-support and band fields.
 
     tau_sig is PULSE_LENGTH_FACTOR times the RMS time width of the band
-    marginal sqrt(integral |jsa_band|^2 dw_i).  ``sample_source`` holds the
-    samples of the last source, so the windows over one source share them.
+    marginal sqrt(integral |jsa_band|^2 dw_i).  ``sample_source`` holds one
+    of these per refinement step of the last source, so the windows over one
+    source that share a signal grid share them.
     """
 
     jsa_band: JsaField  # band grid x idler grid
@@ -184,11 +185,12 @@ class SourceSamples:
 
 
 @lru_cache(maxsize=1)
-def _source_levels(source: SourceParams, B: float) -> dict[tuple[int, int], SourceSamples]:
-    """The grid levels {(n_s, n_i): SourceSamples} that ``sample_source`` has
-    sampled for the last (source, B) it was called with.  After a call
-    returns, only that pair's levels are held: one band field of n_s x n_i
-    amplitudes per level, with its norm, tail and tau_sig.  A call for another
+def _source_levels(source: SourceParams, B: float) -> dict[int, SourceSamples]:
+    """The grid levels {n_i: SourceSamples} that ``sample_source`` holds for
+    the last (source, B) it was called with.  The idler grid n_i fixes the
+    refinement step of a run and does not depend on the window, so at most
+    MAX_REFINEMENTS + 1 levels are held: one band field of n_s x n_i
+    amplitudes per step, with its norm, tail and tau_sig.  A call for another
     pair drops them before ``sample_source`` samples its own, so the fields of
     two sources are never held together."""
     return {}
@@ -196,14 +198,18 @@ def _source_levels(source: SourceParams, B: float) -> dict[tuple[int, int], Sour
 
 def sample_source(source: SourceParams, B: float, n_s: int, n_i: int) -> SourceSamples:
     """Sample the joint amplitude for a filter band B on n_s x n_i grids, or
-    return the level held for the last (source, B) (``_source_levels``).
+    return the level held for the last (source, B) at this n_i when it has
+    this n_s (``_source_levels``).  A held level of another n_s, which a
+    window of another N meets, is dropped before the new one is sampled, so
+    the new level replaces it instead of adding to the held ones.
 
     The full-support field is reduced to its norm and its Legendre tail before
     the band is sampled, so only the band field is kept.
     """
     levels = _source_levels(source, B)
-    if (n_s, n_i) in levels:
-        return levels[n_s, n_i]
+    if n_i in levels and levels[n_i].jsa_band.grid_s.n == n_s:
+        return levels[n_i]
+    levels.pop(n_i, None)
     w_s, w_i = support_half_widths(source, B)
     grid_s_full = build_grid(-w_s, w_s, n_s)
     grid_i = build_grid(-w_i, w_i, n_i)
@@ -215,8 +221,8 @@ def sample_source(source: SourceParams, B: float, n_s: int, n_i: int) -> SourceS
     marginal = np.sqrt(abs_squared(jsa_band.values) @ grid_i.weights)
     tau_sig = PULSE_LENGTH_FACTOR * rms_time_width(jsa_band.grid_s, marginal)
     tail = max(tail_full, legendre_tail(jsa_band.values))
-    samples = levels[n_s, n_i] = SourceSamples(jsa_band=jsa_band, norm_full=norm_full,
-                                               tau_sig=tau_sig, tail=tail)
+    samples = levels[n_i] = SourceSamples(jsa_band=jsa_band, norm_full=norm_full,
+                                          tau_sig=tau_sig, tail=tail)
     return samples
 
 
@@ -302,9 +308,11 @@ def run_sweep(s: Scenario) -> list[tuple[float, float, MetricsReport]]:
     """Evaluate the scenario at each sweep point; rows ascend in T.
 
     The source does not depend on T, and ``sample_source`` holds the last
-    source's levels, so the source is sampled, and tau_sig read, once per
-    grid level for the whole sweep.  The band's Legendre rows depend on T only
-    through N, and ``povm`` caches them per N and grid level.
+    source's levels, one per refinement step, so the source is sampled, and
+    tau_sig read, once per grid level for all the windows that share a signal
+    grid.  A window whose N exceeds n_signal has a grid of its own, and its
+    level replaces the last window's.  The band's Legendre rows depend on T
+    only through N, and ``povm`` caches them per N and grid level.
     """
     if s.sweep is None:
         raise ConfigError("scenario has no sweep definition")

@@ -369,6 +369,34 @@ class TestSweepReuse:
         assert held() is None
 
 
+class TestCacheBounds:
+    """Every cache that a new window can add to holds at most one entry per
+    grid level of a run, MAX_REFINEMENTS + 1."""
+
+    def test_windows_of_another_n_replace_the_held_level(self):
+        # fig1 at these windows has N = 262, 266 and 272 > 256, so each window
+        # samples the source on a signal grid of its own
+        s = preset("fig1")
+        result = run_scenario(_at_window(s, 41.0))
+        first = weakref.ref(scenarios.sample_source(s.source, s.detector.B,
+                                                    result.n_signal, result.n_idler))
+        n_signal = [result.n_signal] + [run_scenario(_at_window(s, t)).n_signal
+                                        for t in (42.0, 43.0)]
+        assert n_signal == [262, 266, 272]
+        assert len(scenarios._source_levels(s.source, s.detector.B)) == 1
+        assert first() is None
+
+    def test_povm_tables_held_per_grid_level(self):
+        run_sweep(replace(preset("fig3"), n_signal=32, sweep=SweepSpec(0.1, 20.0, 6)))
+        for cache in (povm._prolate_expansion, povm._band_rows):
+            assert cache.cache_info().currsize <= MAX_REFINEMENTS + 1
+
+    def test_povm_bounds_are_the_grid_levels_of_a_run(self):
+        # povm cannot import scenarios, so its bounds are written as numbers
+        for cache in (povm._prolate_expansion, povm._band_rows):
+            assert cache.cache_parameters()["maxsize"] == MAX_REFINEMENTS + 1
+
+
 class TestSweepStore:
     """``sample_source`` holds the source samples of each grid level of the
     last source, which a sweep's windows share; the band's Legendre rows of
