@@ -93,12 +93,12 @@ def legendre_terms(c: float, m_modes: int) -> int:
     return n + n % 2
 
 
-# Both table caches below hold MAX_REFINEMENTS + 1 = 4 tables, the grid
-# levels of one run (``scenarios`` imports this module, so it cannot import
-# the constant; a test ties the two).  A run reads one (c, M) solve, and one
-# band-row table per level.  A larger bound keeps the tables of a sweep's past
-# windows, which no later window reads; a bound of 1 frees each preset's
-# tables before the next preset builds its own, in freshly faulted pages.
+# Both table caches below hold 4 tables; a run reads one of each.  Runs in a
+# row that share (c, M) share the solve (fig5-9ps, then fig5-wideband), and
+# fig4's windows of one N share the rows (12 hits in 17).  Bound 4 keeps the
+# five presets' four keys; at bound 1, fig5-180ps after fig3 builds its band
+# rows in freshly faulted pages (161 minor faults against 2, about 0.2 ms).
+# A larger bound keeps past windows' tables, which no later window reads.
 @lru_cache(maxsize=4)
 def _prolate_expansion(c: float, m_modes: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Legendre coefficients of the top m_modes prolate functions and
@@ -155,8 +155,8 @@ def _band_rows(B: float, n_grid: int, n_terms: int) -> np.ndarray:
     """The read-only n_terms x n_grid normalized Legendre rows Pbar_k(2w/B),
     k < n_terms, at the nodes of ``build_grid(-B/2, B/2, n_grid)``: what
     ``detection_modes`` evaluates the mode expansions on, built once per
-    (B, n_grid, n_terms).  The tables of the last 4 keys are kept, one per
-    grid level of a run, of 8 n_terms n_grid bytes each."""
+    (B, n_grid, n_terms).  The tables of the last 4 keys are kept, of
+    8 n_terms n_grid bytes each."""
     grid = build_grid(-0.5 * B, 0.5 * B, n_grid)
     rows = legendre_vander(grid.nodes * (2.0 / (grid.hi - grid.lo)), n_terms)
     rows.setflags(write=False)

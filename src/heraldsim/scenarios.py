@@ -183,6 +183,11 @@ class SourceSamples:
     tau_sig: float
     tail: float
 
+    @property
+    def resolved(self) -> bool:
+        """Whether this grid level certifies itself (``CHOP_TOL``)."""
+        return self.tail <= CHOP_TOL
+
 
 @lru_cache(maxsize=1)
 def _source_levels(source: SourceParams, B: float) -> dict[int, SourceSamples]:
@@ -226,6 +231,19 @@ def sample_source(source: SourceParams, B: float, n_s: int, n_i: int) -> SourceS
     return samples
 
 
+def _sample_level(source: SourceParams, detector: DetectorParams, n_signal: int,
+                  n_idler: int, m_modes: Optional[int]) -> tuple[int, SourceSamples]:
+    """The mode count M and the source samples of one grid level.  M is
+    ``m_modes``, or ``auto_mode_count(c)`` when it is None; the signal grid
+    has max(n_signal, N) nodes, N = ``legendre_terms(c, M)`` the terms of each
+    detection mode's expansion, so it integrates the modes' products
+    exactly."""
+    m = m_modes if m_modes is not None else auto_mode_count(detector.c)
+    n_s = max(n_signal, legendre_terms(detector.c, m))
+    with _stage("jsa"):
+        return m, sample_source(source, detector.B, n_s, n_idler)
+
+
 def evaluate_pipeline(
     source: SourceParams,
     detector: DetectorParams,
@@ -235,23 +253,19 @@ def evaluate_pipeline(
     pair_probability_target: Optional[float] = None,
     external_efficiency: Optional[float] = None,
 ) -> PipelineResult:
-    """Run the full chain grids -> JSA -> modes -> collapse -> rho -> metrics.
+    """Run the full chain grids -> JSA -> modes -> collapse -> rho -> metrics
+    on one grid level.
 
-    The signal grid has max(n_signal, N) nodes, N = ``legendre_terms(c, M)``
-    the terms of each detection mode's expansion, so it integrates the modes'
-    products exactly.  The source is sampled first (``sample_source``, which
-    holds the last source's levels); the detection modes are then evaluated
+    The source is sampled first (``_sample_level``, which sizes the signal
+    grid to the modes' expansion); the detection modes are then evaluated
     on the same band grid, which ``build_grid`` shares.  Only the modes, and
     the stages after them, depend on the window T, and the modes only through
     c and N.
     """
-    m = m_modes if m_modes is not None else auto_mode_count(detector.c)
-    n_s = max(n_signal, legendre_terms(detector.c, m))
-
-    with _stage("jsa"):
-        samples = sample_source(source, detector.B, n_s, n_idler)
+    m, samples = _sample_level(source, detector, n_signal, n_idler, m_modes)
     jsa_band, norm_full = samples.jsa_band, samples.norm_full
     grid_i = jsa_band.grid_i
+    n_s = jsa_band.grid_s.n
 
     with _stage("detection-modes"):
         modes = detection_modes(detector, n_grid=n_s, m_modes=m)
@@ -277,31 +291,28 @@ def evaluate_pipeline(
             practical = practical_rate(r_abs, p_pair, external_efficiency)
 
     report = MetricsReport(p_pair=p_pair, p_s=p_s, d_s=d_s, h=h, t_min=tmin, r_abs=r_abs,
-                           resolved=samples.tail <= CHOP_TOL, practical_rate=practical)
+                           resolved=samples.resolved, practical_rate=practical)
     return PipelineResult(report=report, modes=modes, state=state, n_signal=n_s,
                           n_idler=n_idler)
 
 
 def run_scenario(s: Scenario, refine: bool = True) -> PipelineResult:
-    """Evaluate a scenario, doubling both grids until a level is resolved.
+    """Evaluate a scenario on the first grid level that is resolved.
 
-    Each level's signal grid holds at least the N Legendre terms of the
-    detection modes (``evaluate_pipeline``).  A level is resolved when its
-    joint amplitude fields leave at most CHOP_TOL of their weight in their top
-    Legendre degrees (``MetricsReport.resolved``), so each level certifies
-    itself and no finer level is evaluated to check it.  The first resolved
-    level is returned.  At most MAX_REFINEMENTS doublings are made; when no
-    level is resolved, the finest is returned with ``report.resolved`` False.
-    With ``refine`` False the first level is returned, resolved or not."""
-    n_s, n_i = s.n_signal, s.n_idler
+    The levels double both grids.  Whether a level is resolved depends only
+    on its source samples: its joint amplitude fields leave at most CHOP_TOL
+    of their weight in their top Legendre degrees (``SourceSamples.resolved``).
+    So the levels are sampled, at most MAX_REFINEMENTS doublings, until one
+    is resolved, and only that level is evaluated; when none is, the finest
+    is evaluated, with ``report.resolved`` False.  With ``refine`` False the
+    first level is evaluated, resolved or not."""
     for level in range(MAX_REFINEMENTS + 1 if refine else 1):
-        result = evaluate_pipeline(
-            s.source, s.detector, n_signal=n_s * 2**level, n_idler=n_i * 2**level,
-            m_modes=s.m_modes, pair_probability_target=s.pair_probability,
-            external_efficiency=s.external_efficiency)
-        if result.report.resolved:
+        n_s, n_i = s.n_signal * 2**level, s.n_idler * 2**level
+        if _sample_level(s.source, s.detector, n_s, n_i, s.m_modes)[1].resolved:
             break
-    return result
+    return evaluate_pipeline(s.source, s.detector, n_signal=n_s, n_idler=n_i,
+                             m_modes=s.m_modes, pair_probability_target=s.pair_probability,
+                             external_efficiency=s.external_efficiency)
 
 
 def run_sweep(s: Scenario) -> list[tuple[float, float, MetricsReport]]:

@@ -245,13 +245,14 @@ class TestParityBlocksAgainstDenseReference:
         assert n_terms // 2 <= math.ceil(d.c + 12 + 40) // 2 + 1
         assert shapes == [(2, n_terms // 2, n_terms // 2)]
 
-    def test_refinement_levels_share_one_solve(self):
+    def test_a_refining_run_solves_once(self):
         povm._prolate_expansion.cache_clear()
-        # grids this small make run_scenario refine through every level
+        # grids this small make run_scenario refine through every level; only
+        # the level it returns computes the modes
         result = scenarios.run_scenario(replace(preset("fig3"), n_signal=16, n_idler=16))
         assert result.n_idler == 16 * 2**MAX_REFINEMENTS
         info = povm._prolate_expansion.cache_info()
-        assert (info.misses, info.hits) == (1, MAX_REFINEMENTS)
+        assert (info.misses, info.hits) == (1, 0)
 
     def test_odd_grid_pipeline_matches_dense_modes(self, monkeypatch):
         # the default grids are always even; an odd --grid-signal puts a band

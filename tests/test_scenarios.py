@@ -22,6 +22,7 @@ from heraldsim.scenarios import (
     SourceSamples,
     SweepSpec,
     auto_mode_count,
+    evaluate_pipeline,
     format_report_csv,
     format_sweep_csv,
     parse_config_text,
@@ -370,8 +371,9 @@ class TestSweepReuse:
 
 
 class TestCacheBounds:
-    """Every cache that a new window can add to holds at most one entry per
-    grid level of a run, MAX_REFINEMENTS + 1."""
+    """Every cache that a new window can add to is bounded: the held source
+    samples keep one entry per grid level of a run, MAX_REFINEMENTS + 1, and
+    povm's prolate and band-row caches 4 tables each."""
 
     def test_windows_of_another_n_replace_the_held_level(self):
         # fig1 at these windows has N = 262, 266 and 272 > 256, so each window
@@ -387,14 +389,10 @@ class TestCacheBounds:
         assert first() is None
 
     def test_povm_tables_held_per_grid_level(self):
+        # six windows of six values of c, so six (c, M) and six N
         run_sweep(replace(preset("fig3"), n_signal=32, sweep=SweepSpec(0.1, 20.0, 6)))
         for cache in (povm._prolate_expansion, povm._band_rows):
-            assert cache.cache_info().currsize <= MAX_REFINEMENTS + 1
-
-    def test_povm_bounds_are_the_grid_levels_of_a_run(self):
-        # povm cannot import scenarios, so its bounds are written as numbers
-        for cache in (povm._prolate_expansion, povm._band_rows):
-            assert cache.cache_parameters()["maxsize"] == MAX_REFINEMENTS + 1
+            assert cache.cache_info().currsize <= 4
 
 
 class TestSweepStore:
@@ -494,9 +492,42 @@ def pipeline_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def sampled_levels(monkeypatch):
+    """The (n_signal, n_idler) of each grid level the source stage samples, in
+    order: ``sample_source`` reduces each level's full-support field to its
+    norm once.  The held levels are dropped first, so a run samples every
+    level it reads."""
+    levels = []
+    real = scenarios.jsa_norm
+
+    def recording(field):
+        levels.append((field.grid_s.n, field.grid_i.n))
+        return real(field)
+
+    monkeypatch.setattr(scenarios, "jsa_norm", recording)
+    scenarios._source_levels.cache_clear()
+    return levels
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Every PipelineResult that evaluate_pipeline returns, in call order."""
+    results = []
+    real = scenarios.evaluate_pipeline
+
+    def recording(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(scenarios, "evaluate_pipeline", recording)
+    return results
+
+
 class TestCertificate:
-    """run_scenario returns the first level that certifies itself by its
-    Legendre tail and its mode expansion, and evaluates no finer level."""
+    """run_scenario samples the source on each level until one certifies
+    itself by its Legendre tail, its signal grid holding the mode expansion,
+    and evaluates only that level."""
 
     @pytest.mark.parametrize("name", [n for n in PRESETS if "sweep" not in PRESETS[n]])
     def test_preset_is_one_resolved_evaluation(self, name, pipeline_calls):
@@ -512,20 +543,22 @@ class TestCertificate:
             assert run_scenario(point).report.resolved
             assert len(pipeline_calls) == 1
 
-    def test_defect_refines_to_the_resolved_level(self, pipeline_calls):
+    def test_defect_refines_to_the_resolved_level(self, sampled_levels, pipeline_calls):
         result = run_scenario(DEFECT)
         assert result.report.resolved
         assert (result.n_signal, result.n_idler) == (1024, 1536)
         assert result.report.d_s == pytest.approx(0.2001, abs=5e-5)
-        assert pipeline_calls == [(256, 384), (512, 768), (1024, 1536)]
+        assert sampled_levels == [(256, 384), (512, 768), (1024, 1536)]
+        assert pipeline_calls == [(1024, 1536)]
 
-    def test_defect_at_a_wider_window_stays_bounded(self, pipeline_calls):
+    def test_defect_at_a_wider_window_stays_bounded(self, sampled_levels, pipeline_calls):
         # c = 60 pi and M = 130 need N = 360 Legendre terms, so n_s starts at
-        # 360 and no n_s is evaluated twice; the first two levels resolve
-        # neither axis, and their D_s is above 1
+        # 360 and no n_s is sampled twice; the first two levels resolve
+        # neither axis, and are not evaluated
         result = run_scenario(replace(DEFECT, detector=replace(DEFECT.detector, T=60.0)))
         assert (result.n_signal, result.n_idler) == (1024, 1536)
-        assert pipeline_calls == [(360, 384), (512, 768), (1024, 1536)]
+        assert sampled_levels == [(360, 384), (512, 768), (1024, 1536)]
+        assert pipeline_calls == [(1024, 1536)]
         assert result.report.d_s == pytest.approx(0.30012, abs=5e-5)
 
     def test_fig1_is_one_evaluation_at_the_default_grids(self, pipeline_calls):
@@ -536,13 +569,15 @@ class TestCertificate:
         assert pipeline_calls == [(256, 384)]
 
     @pytest.mark.parametrize("s", _LEVEL_POINTS, ids=lambda s: s.name)
-    def test_every_level_starts_at_the_mode_expansion(self, s, pipeline_calls):
+    def test_every_level_starts_at_the_mode_expansion(self, s, sampled_levels,
+                                                      pipeline_calls):
         # one rule sizes the signal grid: the doubled n_signal, raised to the
         # N Legendre terms of each detection mode
         n_terms = legendre_terms(s.detector.c, scenarios.auto_mode_count(s.detector.c))
         run_scenario(s)
-        assert pipeline_calls == [(max(s.n_signal * 2**level, n_terms), s.n_idler * 2**level)
-                                  for level in range(len(pipeline_calls))]
+        assert sampled_levels == [(max(s.n_signal * 2**level, n_terms), s.n_idler * 2**level)
+                                  for level in range(len(sampled_levels))]
+        assert pipeline_calls == sampled_levels[-1:]
 
     def test_user_set_modes_are_expanded_at_the_first_level(self, pipeline_calls):
         # c = 220 needs 272 Legendre terms per mode; 12 user-set modes start
@@ -555,16 +590,57 @@ class TestCertificate:
         assert result.report.resolved
         assert pipeline_calls == [(272, 384)]
 
-    def test_unresolved_last_level_is_flagged(self, pipeline_calls):
+    def test_unresolved_last_level_is_flagged(self, sampled_levels, pipeline_calls):
         result = run_scenario(replace(preset("fig3"), n_signal=8, n_idler=8))
         assert not result.report.resolved
-        assert len(pipeline_calls) == MAX_REFINEMENTS + 1
+        assert len(sampled_levels) == MAX_REFINEMENTS + 1
         assert (result.n_signal, result.n_idler) == (64, 64)
+        assert pipeline_calls == sampled_levels[-1:] == [(64, 64)]
 
     def test_without_refinement_the_first_level_is_returned(self, pipeline_calls):
         result = run_scenario(DEFECT, refine=False)
         assert not result.report.resolved
         assert pipeline_calls == [(256, 384)]
+
+
+class TestOneEvaluation:
+    """run_scenario evaluates the pipeline once, at the level it returns, and
+    gives what evaluate_pipeline gives at that level on its own."""
+
+    @staticmethod
+    def assert_level_alone(s, result):
+        scenarios._source_levels.cache_clear()
+        alone = evaluate_pipeline(s.source, s.detector, n_signal=result.n_signal,
+                                  n_idler=result.n_idler, m_modes=s.m_modes,
+                                  pair_probability_target=s.pair_probability,
+                                  external_efficiency=s.external_efficiency)
+        assert alone.report == result.report
+        assert (alone.n_signal, alone.n_idler) == (result.n_signal, result.n_idler)
+        assert np.array_equal(alone.modes.modes, result.modes.modes)
+        assert np.array_equal(alone.state.amplitudes, result.state.amplitudes)
+
+    @pytest.mark.parametrize("s", [*_DEFECT_POINTS, replace(preset("fig3"), n_signal=8,
+                                                            n_idler=8, name="fig3-8")],
+                             ids=lambda s: s.name)
+    def test_point_is_one_evaluation_of_its_level(self, s, evaluations):
+        result = run_scenario(s)
+        assert len(evaluations) == 1 and evaluations[0] is result
+        self.assert_level_alone(s, result)
+
+    def test_refining_sweep_is_one_evaluation_per_window(self, evaluations):
+        s = replace(preset("fig4"), n_signal=16, n_idler=16)
+        rows = run_sweep(s)
+        assert len(evaluations) == len(rows) == 17
+        for (t_value, _, report), result in zip(rows, evaluations):
+            assert report is result.report
+            self.assert_level_alone(_at_window(s, t_value), result)
+        assert [report for _, _, report in rows] == _point_reports(s)
+
+    def test_no_evaluated_defect_report_exceeds_one(self, evaluations):
+        # at T = 60 the two levels below 1024/1536 would give D_s = 1.13 and 1.27
+        run_scenario(_at_window(DEFECT, 60.0))
+        assert evaluations
+        assert all(0.0 <= r.report.d_s <= 1.0 for r in evaluations)
 
 
 class TestRealField:
