@@ -22,6 +22,7 @@ import numpy as np
 from .jsa import JsaField, SourceParams
 from .numerics import (
     FrequencyGrid,
+    abs_squared,
     fix_column_phases,
     float_or_complex,
     hermitian_eigen,
@@ -73,7 +74,7 @@ class HeraldedState:
         largest magnitude is real and positive.  Column 0 is ``leading_mode``
         up to rounding and, where that reference node is tiny, a global phase.
         """
-        sw = np.sqrt(self.grid_i.weights)
+        sw = self.grid_i.sqrt_weights
         u, _, _ = np.linalg.svd((self.amplitudes * sw[None, :]).T / np.sqrt(2.0 * np.pi),
                                 full_matrices=False)
         modes = (u / sw[:, None]) * np.sqrt(2.0 * np.pi)
@@ -108,7 +109,7 @@ def collapsed_wavefunctions(jsa_band: JsaField, modes: DetectionModeSet) -> np.n
     a different width whose nodes all lie below it.
     """
     gs = jsa_band.grid_s
-    if not np.array_equal(gs.nodes, modes.grid_s.nodes):
+    if gs is not modes.grid_s and not np.array_equal(gs.nodes, modes.grid_s.nodes):
         raise ValueError("signal grid of the joint amplitude must match the mode grid")
     return (modes.modes * gs.weights[None, :]) @ jsa_band.values
 
@@ -135,24 +136,29 @@ def idler_density_matrix(
         raise ValueError("collapsed amplitudes and weights are inconsistent")
     if collapsed.shape[1] != grid_i.n:
         raise ValueError("collapsed amplitudes do not match the idler grid")
-    if not np.all(np.isfinite(collapsed)):
-        raise ValueError("collapsed amplitudes must be finite")
-    if not np.all(np.isfinite(eta_weights)):
-        raise ValueError("detection-mode efficiencies must be finite")
-    if not np.any(np.abs(collapsed) > 0):
-        raise ValueError("all collapsed amplitudes vanish")
-    if np.any(eta_weights < 0.0):
-        raise ValueError("detection-mode efficiencies must be non-negative")
-
-    click_weight = float(eta_weights @ (np.abs(collapsed) ** 2 @ grid_i.weights))
+    # the checks read the reductions the state is built from: a non-finite
+    # amplitude makes its mode's norm non-finite, and every norm is 0 only
+    # when every amplitude is; which one failed is looked up only when the
+    # click weight is not positive and finite or an efficiency is negative
+    norms = abs_squared(collapsed) @ grid_i.weights
+    click_weight = float(eta_weights @ norms)
+    if not 0.0 < click_weight < np.inf or np.any(eta_weights < 0.0):
+        if not np.all(np.isfinite(norms)):
+            raise ValueError("collapsed amplitudes must be finite")
+        if not np.all(np.isfinite(eta_weights)):
+            raise ValueError("detection-mode efficiencies must be finite")
+        if not np.any(norms > 0.0):
+            raise ValueError("all collapsed amplitudes vanish")
+        if np.any(eta_weights < 0.0):
+            raise ValueError("detection-mode efficiencies must be non-negative")
+        raise ValueError(f"heralded state has weight {click_weight}, not a positive "
+                         "finite number")
     trace = click_weight / (2.0 * np.pi)
-    if trace <= 0.0:
-        raise ValueError("heralded state has zero weight")
     amplitudes = np.sqrt(eta_weights / trace)[:, None] * collapsed
 
-    sw = np.sqrt(grid_i.weights)
+    sw = grid_i.sqrt_weights
     b = amplitudes * (sw / np.sqrt(2.0 * np.pi))[None, :]
-    g, v = hermitian_eigen(b.conj() @ b.T)
+    g, v = hermitian_eigen((b.conj() if np.iscomplexobj(b) else b) @ b.T)
     # rho has rank <= min(M, n_i); G's eigenvalues past that are rounding
     g = np.maximum(g[:min(b.shape)], 0.0)
     lam = g / np.sum(g)

@@ -17,12 +17,14 @@ node's rounding error delta into a relative weight error of up to
 2 delta / (1 - x^2), and 1 - x^2 = 2.4e-6 there.
 
 All functions but ``fix_column_phases``, which works in place, are pure;
-``FrequencyGrid`` is immutable and safe to share across threads.
+``FrequencyGrid`` is immutable and safe to share across threads: the tables
+it computes on first read (``sqrt_weights`` and the derivative's stencil)
+come out the same whichever thread computes them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -61,6 +63,40 @@ class FrequencyGrid:
     def integrate(self, samples: np.ndarray) -> complex | float:
         """Quadrature of sampled values over [lo, hi]."""
         return self.weights @ np.asarray(samples)
+
+    @cached_property
+    def sqrt_weights(self) -> np.ndarray:
+        """Read-only square roots of the weights, computed on first read."""
+        sw = np.sqrt(self.weights)
+        sw.setflags(write=False)
+        return sw
+
+    @cached_property
+    def _stencil(self) -> tuple | None:
+        """The coefficients ``np.gradient`` forms for these nodes, computed
+        on first read: the three weights of the nonuniform three-point
+        formula at each inner node, and the end spacings; None when the
+        spacing is uniform, where ``np.gradient`` takes another formula."""
+        dx = np.diff(self.nodes)
+        if np.all(dx == dx[:1]):
+            return None
+        dx1, dx2 = dx[:-1], dx[1:]
+        return (-dx2 / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2),
+                dx1 / (dx2 * (dx1 + dx2)), dx[0], dx[-1])
+
+    def derivative(self, f: np.ndarray) -> np.ndarray:
+        """df/domega of samples f at the nodes: ``np.gradient(f, nodes)``
+        bitwise, with its coefficients computed once per grid.  That is the
+        second-order three-point formula for nonuniform nodes inside, and
+        first-order one-sided differences at both ends."""
+        if self._stencil is None:
+            return np.gradient(f, self.nodes)
+        a, b, c, dx_0, dx_n = self._stencil
+        out = np.empty_like(f)
+        out[1:-1] = a * f[:-2] + b * f[1:-1] + c * f[2:]
+        out[0] = (f[1] - f[0]) / dx_0
+        out[-1] = (f[-1] - f[-2]) / dx_n
+        return out
 
 
 def float_or_complex(a) -> np.ndarray:
@@ -224,7 +260,7 @@ def hermitian_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = float_or_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    a_h = a.conj().T
+    a_h = a.conj().T if np.iscomplexobj(a) else a.T
     scale = float(np.max(np.abs(a)))
     if np.max(np.abs(a - a_h)) > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
@@ -266,16 +302,21 @@ def rms_time_width(grid: FrequencyGrid, amplitude: np.ndarray) -> float:
 
     Works entirely in the frequency domain: with f(omega) sampled on the grid,
     <t^2> = integral |df/domega|^2 / integral |f|^2 and <t> comes from the
-    Im(f* df/domega) cross term; derivatives use central finite differences,
-    so no FFT or padding is involved.
+    Im(f* df/domega) cross term, which is 0 for a real f.  The derivative is
+    ``grid.derivative``, numpy's gradient: the second-order three-point
+    formula for nonuniform nodes inside and first-order one-sided differences
+    at both ends, so no FFT or padding is involved.
     """
     f = float_or_complex(amplitude)
     if f.shape != grid.nodes.shape:
         raise ValueError("amplitude samples must match the grid")
-    norm = float(np.real(grid.integrate(np.abs(f) ** 2)))
-    if norm <= 0.0 or not np.any(np.abs(f) > 0):
+    mag = np.abs(f)
+    norm = float(np.real(grid.integrate(mag ** 2)))
+    if norm <= 0.0 or not np.any(mag > 0):
         raise ValueError("amplitude is identically zero")
-    df = np.gradient(f, grid.nodes)
+    df = grid.derivative(f)
     t2 = float(np.real(grid.integrate(np.abs(df) ** 2))) / norm
-    t1 = float(np.real(grid.integrate(np.imag(np.conj(f) * df)))) / norm
+    t1 = 0.0
+    if np.iscomplexobj(f):
+        t1 = float(np.real(grid.integrate(np.imag(np.conj(f) * df)))) / norm
     return float(np.sqrt(max(t2 - t1 * t1, 0.0)))

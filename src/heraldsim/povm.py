@@ -93,12 +93,39 @@ def legendre_terms(c: float, m_modes: int) -> int:
     return n + n % 2
 
 
-# Both table caches below hold 4 tables; a run reads one of each.  Runs in a
-# row that share (c, M) share the solve (fig5-9ps, then fig5-wideband), and
-# fig4's windows of one N share the rows (12 hits in 17).  Bound 4 keeps the
-# five presets' four keys; at bound 1, fig5-180ps after fig3 builds its band
-# rows in freshly faulted pages (161 minor faults against 2, about 0.2 ms).
-# A larger bound keeps past windows' tables, which no later window reads.
+# The three table caches below hold 4 tables each; a run reads one of each.
+# Runs in a row that share (c, M) share the solve (fig5-9ps, then
+# fig5-wideband), and fig4's windows of one N share the block tables and the
+# band rows (12 hits in 17).  Bound 4 keeps the five presets' four keys; at
+# bound 1, fig5-180ps after fig3 builds its band rows in freshly faulted pages
+# (161 minor faults against 2, about 0.2 ms).  A larger bound keeps past
+# windows' tables, which no later window reads.
+@lru_cache(maxsize=4)
+def _block_tables(n_terms: int) -> tuple[np.ndarray, ...]:
+    """The parts of the two parity blocks of the prolate operator on n_terms
+    Legendre terms that do not depend on c, each a read-only 2 x n_terms / 2
+    array whose row p holds the terms k of parity p: k(k + 1); the numerator
+    and denominator of the diagonal's c^2 term; the two factors and the
+    denominator of the off-diagonal's c^2 term, whose rows have one entry
+    less; and the values at x = 0 that give mu, psi(0) for the even block and
+    psi'(0) for the odd one.  Built once per N; the last 4 are kept."""
+    k = np.arange(n_terms, dtype=float)
+    k2 = k[:-2]
+    scale = np.sqrt(k + 0.5)  # P_k -> normalized P_k
+    # P_2j(0) = (-1)^j (2j - 1)!! / (2j)!!  and  P_2j+1'(0) = (2j + 1) P_2j(0)
+    j = np.arange(1, n_terms // 2)
+    p_at_0 = np.concatenate([[1.0], np.cumprod((1 - 2 * j) / (2 * j))])
+    tables = (
+        k * (k + 1), 2 * k * (k + 1) - 1, (2 * k + 3) * (2 * k - 1),
+        k2 + 2, k2 + 1, (2 * k2 + 3) * np.sqrt((2 * k2 + 1) * (2 * k2 + 5)),
+    )
+    tables = [np.stack((t[0::2], t[1::2])) for t in tables]
+    tables.append(np.stack((scale[0::2] * p_at_0, scale[1::2] * k[1::2] * p_at_0)))
+    for t in tables:
+        t.setflags(write=False)
+    return tuple(tables)
+
+
 @lru_cache(maxsize=4)
 def _prolate_expansion(c: float, m_modes: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Legendre coefficients of the top m_modes prolate functions and
@@ -115,33 +142,27 @@ def _prolate_expansion(c: float, m_modes: int) -> tuple[np.ndarray, np.ndarray]:
     n // 2 of the block of parity n % 2.  With mu the eigenvalue
     of the finite Fourier transform integral exp(i c x t) psi(t) dt, its value
     and slope at x = 0 give |mu| = sqrt(2) beta_0 / psi(0) for even modes and
-    c sqrt(2/3) beta_1 / psi'(0) for odd modes, and chi = c mu^2 / 2pi.
+    c sqrt(2/3) beta_1 / psi'(0) for odd modes, and chi = c mu^2 / 2pi.  The
+    parts of the blocks that do not depend on c come from ``_block_tables``.
     """
     n_terms = legendre_terms(c, m_modes)
-    k = np.arange(n_terms, dtype=float)
-    diag = k * (k + 1) + c**2 * (2 * k * (k + 1) - 1) / ((2 * k + 3) * (2 * k - 1))
-    k2 = k[:-2]
-    upper = c**2 * (k2 + 2) * (k2 + 1) / ((2 * k2 + 3) * np.sqrt((2 * k2 + 1) * (2 * k2 + 5)))
-    scale = np.sqrt(k + 0.5)  # P_k -> normalized P_k
-    half = n_terms // 2  # order of each parity block
-    # P_2j(0) = (-1)^j (2j - 1)!! / (2j)!!  and  P_2j+1'(0) = (2j + 1) P_2j(0)
-    j = np.arange(1, half)
-    p_at_0 = np.concatenate([[1.0], np.cumprod((1 - 2 * j) / (2 * j))])
-    at_0 = (scale[0::2] * p_at_0, scale[1::2] * k[1::2] * p_at_0)
-    mu_factor = (np.sqrt(2.0), c * np.sqrt(2.0 / 3.0))
+    kk1, diag_num, diag_den, up_a, up_b, up_den, at_0 = _block_tables(n_terms)
+    diag = kk1 + c**2 * diag_num / diag_den
+    upper = c**2 * up_a * up_b / up_den
 
     # both blocks in one stacked solve; eigh lists eigenvalues ascending,
     # which is mode order
+    half = n_terms // 2  # order of each parity block
     blocks = np.zeros((2, half, half))
-    for parity, block in enumerate(blocks):
-        block.flat[::half + 1] = diag[parity::2]
-        block.flat[1::half + 1] = block.flat[half::half + 1] = upper[parity::2]
+    flat = blocks.reshape(2, half * half)
+    flat[:, ::half + 1] = diag
+    flat[:, 1::half + 1] = flat[:, half::half + 1] = upper
     _, coefs = np.linalg.eigh(blocks)
-    # chi falls strictly with n (Slepian & Pollak 1961): interleave, even first
-    chi = np.empty(n_terms)
-    for parity, beta in enumerate(coefs):
-        mu = mu_factor[parity] * beta[0] / (at_0[parity] @ beta)
-        chi[parity::2] = c * mu**2 / (2.0 * np.pi)
+    # row p of mu is block p's; chi falls strictly with n (Slepian & Pollak
+    # 1961), so the rows interleave, even first
+    mu_factor = np.array([[np.sqrt(2.0)], [c * np.sqrt(2.0 / 3.0)]])
+    mu = mu_factor * coefs[:, 0] / np.matmul(at_0[:, None], coefs)[:, 0]
+    chi = (c * mu**2 / (2.0 * np.pi)).T.ravel()
     coef = np.zeros((n_terms, m_modes))
     coef[0::2, 0::2] = coefs[0][:, :(m_modes + 1) // 2]
     coef[1::2, 1::2] = coefs[1][:, :m_modes // 2]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
@@ -83,13 +82,20 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-@contextmanager
-def _stage(name: str):
+class _stage:
     """Tag any exception raised inside the block as a failure of stage ``name``."""
-    try:
-        yield
-    except Exception as exc:  # noqa: BLE001 - tagged and re-raised
-        raise StageError(name, exc) from exc
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, exc_type, exc, tb):
+        if isinstance(exc, Exception):
+            raise StageError(self.name, exc) from exc
 
 
 @dataclass(frozen=True)
@@ -323,7 +329,8 @@ def run_sweep(s: Scenario) -> list[tuple[float, float, MetricsReport]]:
     tau_sig read, once per grid level for all the windows that share a signal
     grid.  A window whose N exceeds n_signal has a grid of its own, and its
     level replaces the last window's.  The band's Legendre rows depend on T
-    only through N, and ``povm`` caches them per N and grid level.
+    only through N, and ``povm`` caches them per N and grid level; it caches
+    the parts of the prolate blocks that do not depend on c per N.
     """
     if s.sweep is None:
         raise ConfigError("scenario has no sweep definition")

@@ -92,3 +92,25 @@ def test_point_probe_reads_pipeline_result_fields():
     from heraldsim.scenarios import PipelineResult
 
     assert {"report", "n_signal", "n_idler"} <= {f.name for f in fields(PipelineResult)}
+
+
+def test_outputs_match_the_benchmark_reference():
+    """Every preset row and every fig4 sweep row, header included, is byte
+    for byte the row ``bench/reference.json`` holds, as the benchmark's seed-0
+    check requires."""
+    import json
+
+    from heraldsim import scenarios
+
+    reference = json.loads((WORKER.parent / "reference.json").read_text())["points"]
+    got = {}
+    for name in worker.PRESET_POINTS:
+        s = scenarios.preset(name)
+        header, row = scenarios.format_report_csv(
+            s, scenarios.run_scenario(s).report).splitlines()
+        got[name] = {"header": header, "row": row}
+    header, *rows = scenarios.format_sweep_csv(
+        scenarios.run_sweep(scenarios.preset(worker.SWEEP_PRESET))).splitlines()
+    for i, row in enumerate(rows):
+        got[f"{worker.SWEEP_PRESET}[{i}]"] = {"header": header, "row": row}
+    assert got == reference

@@ -363,3 +363,27 @@ def test_readme_flag_table_lists_the_parser_options():
         assert set(dests) == set(rows), command
         for flag, dest in dests.items():
             assert rows[flag] == ("—" if flag == "--dump-modes" else dest), flag
+
+
+def test_runs_without_scipy(tmp_path):
+    """scipy is a test dependency only: the package lists numpy alone, so the
+    CLI must run where importing scipy fails."""
+    import os
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+        "from heraldsim import cli\n"
+        "codes = [cli.main(['preset', 'fig4']),\n"
+        f"         cli.main(['preset', 'fig1', '--dump-modes', {str(tmp_path)!r}])]\n"
+        "sys.exit(0 if codes == [0, 0] else 1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "detection_modes.csv").is_file()
+    assert (tmp_path / "idler_modes.csv").is_file()

@@ -436,3 +436,53 @@ class TestRmsTimeWidth:
         g = build_grid(-1.0, 1.0, 16)
         with pytest.raises(ValueError):
             rms_time_width(g, np.zeros(16))
+
+    def test_real_amplitude_has_no_cross_term(self):
+        # <t> of a real amplitude is exactly 0, so the width is the one the
+        # same samples give as a complex array
+        g = build_grid(-8.0, 8.0, 256)
+        amp = np.exp(-((g.nodes - 0.3) ** 2)) * (1 + 0.2 * g.nodes)
+        assert rms_time_width(g, amp) == rms_time_width(g, amp.astype(complex))
+
+
+def _preset_idler_grids():
+    from heraldsim.scenarios import preset, run_scenario
+
+    return {name: run_scenario(preset(name)).state.grid_i
+            for name in ("fig1", "fig3", "fig5-180ps", "fig5-9ps", "fig5-wideband")}
+
+
+class TestGridTables:
+    """Each grid holds sqrt(w) and np.gradient's coefficients for its nodes,
+    computed on first read; what they give is bitwise what numpy gives."""
+
+    @pytest.fixture(scope="class")
+    def idler_grids(self):
+        return _preset_idler_grids()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_derivative_is_numpy_gradient(self, idler_grids, dtype):
+        rng = np.random.default_rng(7)
+        for name, g in idler_grids.items():
+            f = rng.standard_normal(g.n) * np.exp(-(g.nodes / g.hi) ** 2)
+            if dtype is complex:
+                f = f * np.exp(1j * rng.uniform(0, 2 * np.pi, g.n))
+            assert np.array_equal(g.derivative(f), np.gradient(f, g.nodes)), name
+
+    @pytest.mark.parametrize("nodes", [
+        build_grid(-1.0, 1.0, 2).nodes,
+        build_grid(-1.0, 1.0, 3).nodes,  # -x, 0, x: numpy takes its uniform formula
+        np.linspace(-1.0, 1.0, 9),
+        np.sort(np.random.default_rng(3).uniform(-1.0, 1.0, 12)),
+    ], ids=["two-nodes", "three-nodes", "uniform", "irregular"])
+    def test_derivative_on_any_nodes(self, nodes):
+        g = numerics.FrequencyGrid(nodes=nodes, weights=np.ones_like(nodes), lo=-1.0, hi=1.0)
+        f = np.cos(3 * nodes) + 1j * nodes**3
+        assert np.array_equal(g.derivative(f), np.gradient(f, nodes))
+        assert np.array_equal(g.derivative(f.real), np.gradient(f.real, nodes))
+
+    def test_sqrt_weights(self, idler_grids):
+        for g in idler_grids.values():
+            assert np.array_equal(g.sqrt_weights, np.sqrt(g.weights))
+            assert g.sqrt_weights is g.sqrt_weights
+            assert not g.sqrt_weights.flags.writeable

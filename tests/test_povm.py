@@ -266,6 +266,63 @@ class TestParityBlocksAgainstDenseReference:
         assert abs(result.report.d_s - dense.report.d_s) < 1e-12
 
 
+def inline_prolate_expansion(c, m_modes):
+    """The prolate expansion as formed in full for each (c, M), every table
+    built afresh and each parity block solved on its own."""
+    n_terms = legendre_terms(c, m_modes)
+    k = np.arange(n_terms, dtype=float)
+    diag = k * (k + 1) + c**2 * (2 * k * (k + 1) - 1) / ((2 * k + 3) * (2 * k - 1))
+    k2 = k[:-2]
+    upper = c**2 * (k2 + 2) * (k2 + 1) / ((2 * k2 + 3) * np.sqrt((2 * k2 + 1) * (2 * k2 + 5)))
+    scale = np.sqrt(k + 0.5)
+    half = n_terms // 2
+    j = np.arange(1, half)
+    p_at_0 = np.concatenate([[1.0], np.cumprod((1 - 2 * j) / (2 * j))])
+    at_0 = (scale[0::2] * p_at_0, scale[1::2] * k[1::2] * p_at_0)
+    mu_factor = (np.sqrt(2.0), c * np.sqrt(2.0 / 3.0))
+    blocks = np.zeros((2, half, half))
+    for parity, block in enumerate(blocks):
+        block.flat[::half + 1] = diag[parity::2]
+        block.flat[1::half + 1] = block.flat[half::half + 1] = upper[parity::2]
+    _, coefs = np.linalg.eigh(blocks)
+    chi = np.empty(n_terms)
+    for parity, beta in enumerate(coefs):
+        mu = mu_factor[parity] * beta[0] / (at_0[parity] @ beta)
+        chi[parity::2] = c * mu**2 / (2.0 * np.pi)
+    coef = np.zeros((n_terms, m_modes))
+    coef[0::2, 0::2] = coefs[0][:, :(m_modes + 1) // 2]
+    coef[1::2, 1::2] = coefs[1][:, :m_modes // 2]
+    return coef, chi
+
+
+class TestBlockTables:
+    """The c-independent parts of the parity blocks are built once per N
+    (``_block_tables``); the expansion formed from them is bitwise the one
+    formed in full."""
+
+    @pytest.mark.parametrize("c", [0.157, np.pi / 4, 2 * np.pi, 40 * np.pi])
+    def test_bitwise_equal_to_the_inline_formula(self, c):
+        m_modes = auto_mode_count(c)
+        povm._prolate_expansion.cache_clear()
+        coef, chi = povm._prolate_expansion(c, m_modes)
+        ref_coef, ref_chi = inline_prolate_expansion(c, m_modes)
+        assert np.array_equal(coef, ref_coef)
+        assert np.array_equal(chi, ref_chi)
+
+    def test_built_once_per_n(self):
+        povm._prolate_expansion.cache_clear()
+        povm._block_tables.cache_clear()
+        # three values of c that share N = 54
+        cs = (0.157, 0.3, 0.5)
+        assert {legendre_terms(c, auto_mode_count(c)) for c in cs} == {54}
+        for c in cs:
+            povm._prolate_expansion(c, auto_mode_count(c))
+        info = povm._block_tables.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        for table in povm._block_tables(54):
+            assert not table.flags.writeable
+
+
 class TestLegendreTruncation:
     """The modes are polynomials of degree < N = povm.legendre_terms(c, M).
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import weakref
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from heraldsim import jsa, povm, scenarios
 from heraldsim.herald import PULSE_LENGTH_FACTOR
 from heraldsim.jsa import JsaField, SourceParams
-from heraldsim.numerics import rms_time_width
+from heraldsim.numerics import FrequencyGrid, build_grid, rms_time_width
 from heraldsim.povm import DetectorParams, legendre_terms
 from heraldsim.scenarios import (
     CHOP_TOL,
@@ -391,8 +392,30 @@ class TestCacheBounds:
     def test_povm_tables_held_per_grid_level(self):
         # six windows of six values of c, so six (c, M) and six N
         run_sweep(replace(preset("fig3"), n_signal=32, sweep=SweepSpec(0.1, 20.0, 6)))
-        for cache in (povm._prolate_expansion, povm._band_rows):
+        for cache in (povm._prolate_expansion, povm._block_tables, povm._band_rows):
             assert cache.cache_info().currsize <= 4
+
+    def test_grid_tables_live_with_their_grid(self, monkeypatch):
+        # sqrt(w) and the derivative stencil are held by the grid itself, so
+        # build_grid's bound on grids bounds them; this sweep differentiates
+        # on more grids than that bound, one band grid per N and level
+        before = {id(g) for g in gc.get_objects() if isinstance(g, FrequencyGrid)}
+        differentiated = set()
+        real = FrequencyGrid.derivative
+
+        def spy(grid, f):
+            differentiated.add(id(grid))
+            return real(grid, f)
+
+        monkeypatch.setattr(FrequencyGrid, "derivative", spy)
+        run_sweep(replace(preset("fig3"), n_signal=32, n_idler=32,
+                          sweep=SweepSpec(0.1, 40.0, 40)))
+        bound = build_grid.cache_info().maxsize
+        assert len(differentiated) > bound
+        gc.collect()
+        held = [g for g in gc.get_objects() if isinstance(g, FrequencyGrid)
+                and id(g) not in before and {"_stencil", "sqrt_weights"} & vars(g).keys()]
+        assert len(held) <= bound
 
 
 class TestSweepStore:
