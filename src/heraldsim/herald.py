@@ -74,7 +74,7 @@ class HeraldedState:
         largest magnitude is real and positive.  Column 0 is ``leading_mode``
         up to rounding and, where that reference node is tiny, a global phase.
         """
-        sw = self.grid_i.sqrt_weights
+        sw = np.sqrt(self.grid_i.weights)
         u, _, _ = np.linalg.svd((self.amplitudes * sw[None, :]).T / np.sqrt(2.0 * np.pi),
                                 full_matrices=False)
         modes = (u / sw[:, None]) * np.sqrt(2.0 * np.pi)
@@ -136,18 +136,17 @@ def idler_density_matrix(
         raise ValueError("collapsed amplitudes and weights are inconsistent")
     if collapsed.shape[1] != grid_i.n:
         raise ValueError("collapsed amplitudes do not match the idler grid")
-    # the checks read the reductions the state is built from: a non-finite
-    # amplitude makes its mode's norm non-finite, and every norm is 0 only
-    # when every amplitude is; which one failed is looked up only when the
-    # click weight is not positive and finite or an efficiency is negative
-    norms = abs_squared(collapsed) @ grid_i.weights
-    click_weight = float(eta_weights @ norms)
+    # a valid input gives a positive finite click weight, so the checks of
+    # each input run only when the weight is not that or an efficiency is
+    # negative; a weight that overflows or underflows from valid inputs
+    # passes them all and is reported as it is
+    click_weight = float(eta_weights @ (abs_squared(collapsed) @ grid_i.weights))
     if not 0.0 < click_weight < np.inf or np.any(eta_weights < 0.0):
-        if not np.all(np.isfinite(norms)):
+        if not np.all(np.isfinite(collapsed)):
             raise ValueError("collapsed amplitudes must be finite")
         if not np.all(np.isfinite(eta_weights)):
             raise ValueError("detection-mode efficiencies must be finite")
-        if not np.any(norms > 0.0):
+        if not np.any(np.abs(collapsed) > 0):
             raise ValueError("all collapsed amplitudes vanish")
         if np.any(eta_weights < 0.0):
             raise ValueError("detection-mode efficiencies must be non-negative")
@@ -156,9 +155,9 @@ def idler_density_matrix(
     trace = click_weight / (2.0 * np.pi)
     amplitudes = np.sqrt(eta_weights / trace)[:, None] * collapsed
 
-    sw = grid_i.sqrt_weights
+    sw = np.sqrt(grid_i.weights)
     b = amplitudes * (sw / np.sqrt(2.0 * np.pi))[None, :]
-    g, v = hermitian_eigen((b.conj() if np.iscomplexobj(b) else b) @ b.T)
+    g, v = hermitian_eigen(b.conj() @ b.T)
     # rho has rank <= min(M, n_i); G's eigenvalues past that are rounding
     g = np.maximum(g[:min(b.shape)], 0.0)
     lam = g / np.sum(g)

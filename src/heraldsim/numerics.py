@@ -17,9 +17,9 @@ node's rounding error delta into a relative weight error of up to
 2 delta / (1 - x^2), and 1 - x^2 = 2.4e-6 there.
 
 All functions but ``fix_column_phases``, which works in place, are pure;
-``FrequencyGrid`` is immutable and safe to share across threads: the tables
-it computes on first read (``sqrt_weights`` and the derivative's stencil)
-come out the same whichever thread computes them.
+``FrequencyGrid`` is immutable and safe to share across threads: the
+derivative's stencil, computed on first read, comes out the same whichever
+thread computes it.
 """
 from __future__ import annotations
 
@@ -65,32 +65,23 @@ class FrequencyGrid:
         return self.weights @ np.asarray(samples)
 
     @cached_property
-    def sqrt_weights(self) -> np.ndarray:
-        """Read-only square roots of the weights, computed on first read."""
-        sw = np.sqrt(self.weights)
-        sw.setflags(write=False)
-        return sw
-
-    @cached_property
-    def _stencil(self) -> tuple | None:
-        """The coefficients ``np.gradient`` forms for these nodes, computed
-        on first read: the three weights of the nonuniform three-point
-        formula at each inner node, and the end spacings; None when the
-        spacing is uniform, where ``np.gradient`` takes another formula."""
+    def _stencil(self) -> tuple:
+        """The coefficients ``np.gradient`` forms for unevenly spaced nodes,
+        computed on first read: the three weights of the three-point formula
+        at each inner node, and the end spacings."""
         dx = np.diff(self.nodes)
-        if np.all(dx == dx[:1]):
-            return None
         dx1, dx2 = dx[:-1], dx[1:]
         return (-dx2 / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2),
                 dx1 / (dx2 * (dx1 + dx2)), dx[0], dx[-1])
 
     def derivative(self, f: np.ndarray) -> np.ndarray:
-        """df/domega of samples f at the nodes: ``np.gradient(f, nodes)``
-        bitwise, with its coefficients computed once per grid.  That is the
-        second-order three-point formula for nonuniform nodes inside, and
-        first-order one-sided differences at both ends."""
-        if self._stencil is None:
-            return np.gradient(f, self.nodes)
+        """df/domega of samples f at the nodes, with its coefficients computed
+        once per grid: the second-order three-point formula for nonuniform
+        nodes inside, and first-order one-sided differences at both ends.
+        On unevenly spaced nodes, as a Gauss-Legendre rule of n >= 4 has,
+        and on two nodes, that is ``np.gradient(f, nodes)`` bitwise; on
+        evenly spaced ones numpy takes its uniform formula, which can
+        differ in the last bit."""
         a, b, c, dx_0, dx_n = self._stencil
         out = np.empty_like(f)
         out[1:-1] = a * f[:-2] + b * f[1:-1] + c * f[2:]
@@ -260,7 +251,7 @@ def hermitian_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = float_or_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    a_h = a.conj().T if np.iscomplexobj(a) else a.T
+    a_h = a.conj().T
     scale = float(np.max(np.abs(a)))
     if np.max(np.abs(a - a_h)) > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian within tolerance")

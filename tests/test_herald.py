@@ -209,6 +209,15 @@ class TestIdlerDensityMatrix:
         with pytest.raises(ValueError, match="collapsed amplitudes must be finite"):
             idler_density_matrix(collapsed, np.ones(2), idler_grid)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_reports_a_weight_that_underflows_or_overflows(self, idler_grid, scale):
+        # finite, nonzero amplitudes whose squares leave the float range pass
+        # every input check; the weight itself is what is wrong (an overflow
+        # also warns, which this suite turns into an error)
+        with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                       match="heralded state has weight"):
+            idler_density_matrix(np.full((2, idler_grid.n), scale), np.ones(2), idler_grid)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_efficiencies(self, idler_grid, bad):
         with pytest.raises(ValueError, match="efficiencies must be finite"):

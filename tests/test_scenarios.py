@@ -396,9 +396,9 @@ class TestCacheBounds:
             assert cache.cache_info().currsize <= 4
 
     def test_grid_tables_live_with_their_grid(self, monkeypatch):
-        # sqrt(w) and the derivative stencil are held by the grid itself, so
-        # build_grid's bound on grids bounds them; this sweep differentiates
-        # on more grids than that bound, one band grid per N and level
+        # the derivative stencil is held by the grid itself, so build_grid's
+        # bound on grids bounds it; this sweep differentiates on more grids
+        # than that bound, one band grid per N and level
         before = {id(g) for g in gc.get_objects() if isinstance(g, FrequencyGrid)}
         differentiated = set()
         real = FrequencyGrid.derivative
@@ -414,7 +414,7 @@ class TestCacheBounds:
         assert len(differentiated) > bound
         gc.collect()
         held = [g for g in gc.get_objects() if isinstance(g, FrequencyGrid)
-                and id(g) not in before and {"_stencil", "sqrt_weights"} & vars(g).keys()]
+                and id(g) not in before and "_stencil" in vars(g)]
         assert len(held) <= bound
 
 
