@@ -118,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _emit(text, scenario.output_path)
         if args.dump_modes and result is None:
-            print("--dump-modes is ignored for sweeps", file=sys.stderr)
+            print("warning: --dump-modes is ignored for sweeps", file=sys.stderr)
         elif args.dump_modes:
             dump_mode_tables(result, args.dump_modes)
     except OSError as exc:

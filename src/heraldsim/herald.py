@@ -185,13 +185,6 @@ def t_min(
     return max(d.T, 4.0 / p.sigma, tau_sig, tau_idl)
 
 
-def absolute_rate(d_s: float, t_min_value: float) -> float:
-    """Absolute production rate D_s / T_min."""
-    if t_min_value <= 0.0:
-        raise ValueError(f"t_min must be positive, got {t_min_value}")
-    return d_s / t_min_value
-
-
 def practical_rate(r_abs: float, p_pair: float, external_efficiency: float) -> float:
     """Achievable heralded-photon rate r_abs * P_pair * external efficiency."""
     if not (0.0 <= p_pair <= 1.0):

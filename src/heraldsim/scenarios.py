@@ -15,7 +15,6 @@ from .herald import (
     PULSE_LENGTH_FACTOR,
     HeraldedState,
     MetricsReport,
-    absolute_rate,
     collapsed_wavefunctions,
     idler_density_matrix,
     practical_rate,
@@ -58,6 +57,19 @@ MAX_REFINEMENTS = 3
 # 1e4x below that of an unresolved level (1.9e-2: sigma = 1, mu_s = 200,
 # mu_i = 0, B = 4 pi at 360/384, resolved only at 1024/1536).
 CHOP_TOL = 1e-6
+# The most float64 entries any one array of a grid level may hold: 2**24
+# entries are 128 MB, and a field with the group-delay phase is complex, so
+# 256 MB.  The arrays a level builds are its joint amplitude fields, n_s x n_i
+# each, the N x n_s Legendre rows of its detection modes, and on each grid
+# axis of n nodes the n // 8 x n tail rows of the Gauss-Legendre rule
+# (numerics._legendre_rule).  N <= n_s, so the rows keep N <= 4096, which
+# bounds the two N/2 x N/2 prolate blocks and the M x M Gram matrix.  Sampling
+# a level holds a few such arrays at once: fig3 at n_s = n_i = 4096 peaks at
+# 340 MB RSS with the phase off and 620 MB with it on, and takes 2.5 and
+# 4.5 s, on a 2-vCPU host.  A scenario whose first level does not fit is a
+# config error, and run_scenario's walk stops before the first level that
+# does not fit.
+MAX_CELLS = 2**24
 
 CSV_COLUMNS = (
     "name", "sigma", "mu_s", "mu_i", "B", "T", "c",
@@ -141,6 +153,19 @@ class Scenario:
             raise ConfigError("pair_probability must be in (0, 1)")
         if self.external_efficiency is not None and not (0.0 < self.external_efficiency <= 1.0):
             raise ConfigError("external_efficiency must be in (0, 1]")
+        # c = B T / 4 at the largest window this scenario can run
+        t_max = max(self.detector.T, self.sweep.stop if self.sweep is not None else 0.0)
+        c = self.detector.B * t_max / 4.0
+        # N > c, so this also keeps the mode count's arithmetic finite
+        if not c <= MAX_CELLS:
+            raise ConfigError(f"c = B T / 4 = {c:g} at T = {t_max:g}: its modes would "
+                              f"need more than {MAX_CELLS} Legendre terms")
+        n_terms = _mode_terms(c, self.m_modes)[1]
+        if _level_cells(self.n_signal, self.n_idler, n_terms) > MAX_CELLS:
+            raise ConfigError(
+                f"the {max(self.n_signal, n_terms)}x{self.n_idler} grid, with N = "
+                f"{n_terms} Legendre terms per mode at T = {t_max:g}, needs an array "
+                f"of more than {MAX_CELLS} entries")
 
 
 @dataclass(frozen=True)
@@ -169,6 +194,21 @@ def support_half_widths(source: SourceParams, B: float) -> tuple[float, float]:
 def auto_mode_count(c: float) -> int:
     """Retain enough detection modes to cover the eigenvalue plunge at ~2c/pi."""
     return max(DEFAULT_M_MODES, math.ceil(2.0 * c / np.pi) + 10)
+
+
+def _mode_terms(c: float, m_modes: Optional[int]) -> tuple[int, int]:
+    """The mode count M, ``m_modes`` or ``auto_mode_count(c)`` when it is
+    None, and N = ``legendre_terms(c, M)``, the terms of each mode's
+    expansion."""
+    m = m_modes if m_modes is not None else auto_mode_count(c)
+    return m, legendre_terms(c, m)
+
+
+def _level_cells(n_signal: int, n_idler: int, n_terms: int) -> int:
+    """Entries of the largest array of the grid level whose signal grid has
+    n_s = max(n_signal, N) nodes (``MAX_CELLS``)."""
+    n_s = max(n_signal, n_terms)
+    return max(n_s * n_idler, n_terms * n_s, n_s * (n_s // 8), n_idler * (n_idler // 8))
 
 
 @dataclass(frozen=True)
@@ -239,13 +279,11 @@ def sample_source(source: SourceParams, B: float, n_s: int, n_i: int) -> SourceS
 
 def _sample_level(source: SourceParams, detector: DetectorParams, n_signal: int,
                   n_idler: int, m_modes: Optional[int]) -> tuple[int, SourceSamples]:
-    """The mode count M and the source samples of one grid level.  M is
-    ``m_modes``, or ``auto_mode_count(c)`` when it is None; the signal grid
-    has max(n_signal, N) nodes, N = ``legendre_terms(c, M)`` the terms of each
-    detection mode's expansion, so it integrates the modes' products
-    exactly."""
-    m = m_modes if m_modes is not None else auto_mode_count(detector.c)
-    n_s = max(n_signal, legendre_terms(detector.c, m))
+    """The mode count M and the source samples of one grid level
+    (``_mode_terms``); the signal grid has max(n_signal, N) nodes, so it
+    integrates the modes' products exactly."""
+    m, n_terms = _mode_terms(detector.c, m_modes)
+    n_s = max(n_signal, n_terms)
     with _stage("jsa"):
         return m, sample_source(source, detector.B, n_s, n_idler)
 
@@ -291,7 +329,7 @@ def evaluate_pipeline(
 
     with _stage("metrics"):
         tmin = t_min(detector, source, samples.tau_sig, (grid_i, state.leading_mode))
-        r_abs = absolute_rate(d_s, tmin)
+        r_abs = d_s / tmin
         practical = None
         if external_efficiency is not None:
             practical = practical_rate(r_abs, p_pair, external_efficiency)
@@ -309,13 +347,18 @@ def run_scenario(s: Scenario, refine: bool = True) -> PipelineResult:
     on its source samples: its joint amplitude fields leave at most CHOP_TOL
     of their weight in their top Legendre degrees (``SourceSamples.resolved``).
     So the levels are sampled, at most MAX_REFINEMENTS doublings, until one
-    is resolved, and only that level is evaluated; when none is, the finest
-    is evaluated, with ``report.resolved`` False.  With ``refine`` False the
-    first level is evaluated, resolved or not."""
-    for level in range(MAX_REFINEMENTS + 1 if refine else 1):
-        n_s, n_i = s.n_signal * 2**level, s.n_idler * 2**level
-        if _sample_level(s.source, s.detector, n_s, n_i, s.m_modes)[1].resolved:
+    is resolved, and only that level is evaluated.  The walk stops before a
+    level with an array of more than ``MAX_CELLS`` entries (``Scenario``
+    checks that the first level fits); when no level it samples is resolved,
+    the last is evaluated, with ``report.resolved`` False.  With ``refine``
+    False the first level is evaluated, resolved or not."""
+    n_s, n_i = s.n_signal, s.n_idler
+    n_terms = _mode_terms(s.detector.c, s.m_modes)[1]
+    for _ in range(MAX_REFINEMENTS if refine else 0):
+        if (_sample_level(s.source, s.detector, n_s, n_i, s.m_modes)[1].resolved
+                or _level_cells(2 * n_s, 2 * n_i, n_terms) > MAX_CELLS):
             break
+        n_s, n_i = 2 * n_s, 2 * n_i
     return evaluate_pipeline(s.source, s.detector, n_signal=n_s, n_idler=n_i,
                              m_modes=s.m_modes, pair_probability_target=s.pair_probability,
                              external_efficiency=s.external_efficiency)
@@ -357,15 +400,12 @@ _OPTIONAL_KEYS = {
 
 def parse_config_text(text: str) -> dict:
     """Parse a flat ``key = value`` config (or a JSON object) into a dict."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
+        # JSON text that opens with a brace parses to an object or not at all
         try:
-            data = json.loads(text)
+            return json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON config: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("JSON config must be an object")
-        return data
     data = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()

@@ -10,6 +10,7 @@ from heraldsim import cli, scenarios
 from heraldsim.scenarios import (
     PRESET_NAMES,
     PRESETS,
+    SWEEP_COLUMNS,
     StageError,
     SweepSpec,
     format_report_csv,
@@ -80,6 +81,29 @@ class TestRunCommand:
         assert captured.out == ""
         assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
         assert "sweep bounds must be finite" in captured.err
+
+    @pytest.mark.parametrize("keys, flags", [
+        # c = B T / 4 overflows to inf
+        ({"sigma": 1.0, "mu_s": 0.0, "mu_i": 0.0, "B": 1e200, "T": 1e200}, None),
+        # c is finite, but its modes would need about 1.6e300 Legendre terms
+        ({**PRESETS["fig3"], "T": 1e300}, None),
+        ({**PRESETS["fig3"], "sweep": "T 0.1 1e300 3"}, None),
+        # 100000 x 384 cells, and a Gauss-Legendre rule of 100000 nodes
+        (None, ["--grid-signal", "1e5"]),
+        # N = 100042 Legendre terms per mode
+        (None, ["--modes", "100000"]),
+    ])
+    def test_size_past_the_budget_is_one_line_exit_1(self, tmp_path, capsys, keys, flags):
+        if keys is None:
+            argv = ["preset", "fig3", *flags]
+        else:
+            cfg = tmp_path / "big.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+            argv = ["run", str(cfg)]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
 
     def test_numerical_failure_exit_code(self, fig3_config, monkeypatch, capsys):
         def boom(*args, **kwargs):
@@ -241,6 +265,25 @@ class TestSweepCommand:
     def test_resolved_sweep_writes_nothing_to_stderr(self, capsys):
         assert cli.main(["preset", "fig4"]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_sweep_json_holds_the_csv_cells(self, capsys):
+        assert cli.main(["preset", "fig4", "--format", "json"]) == 0
+        objects = json.loads(capsys.readouterr().out)
+        assert cli.main(["preset", "fig4"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == ",".join(SWEEP_COLUMNS)
+        assert len(objects) == len(rows) == 17
+        for obj, row in zip(objects, rows):
+            assert list(obj) == list(SWEEP_COLUMNS)
+            assert list(obj.values()) == [float(cell) for cell in row.split(",")]
+
+    def test_dump_modes_is_ignored_for_sweeps(self, tmp_path, capsys):
+        dump = tmp_path / "dump"
+        assert cli.main(["preset", "fig4", "--dump-modes", str(dump)]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(",".join(SWEEP_COLUMNS) + "\n")
+        assert err == "warning: --dump-modes is ignored for sweeps\n"
+        assert not dump.exists()
 
 
 class TestPresetCommand:

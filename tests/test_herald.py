@@ -5,7 +5,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from heraldsim.herald import (
     PULSE_LENGTH_FACTOR,
-    absolute_rate,
     collapsed_wavefunctions,
     idler_density_matrix,
     practical_rate,
@@ -191,6 +190,15 @@ class TestIdlerDensityMatrix:
         b = idler_density_matrix(flipped, w, idler_grid)
         assert np.max(np.abs(a.rho - b.rho)) < 1e-10
         assert abs(a.lam[0] - b.lam[0]) < 1e-10
+
+    @pytest.mark.parametrize("shape, n_weights, match", [
+        ((256,), 1, "inconsistent"),
+        ((3, 256), 2, "inconsistent"),
+        ((2, 255), 2, "do not match the idler grid"),
+    ])
+    def test_rejects_inconsistent_shapes(self, idler_grid, shape, n_weights, match):
+        with pytest.raises(ValueError, match=match):
+            idler_density_matrix(np.ones(shape), np.ones(n_weights), idler_grid)
 
     def test_rejects_zero_collapsed(self, idler_grid):
         with pytest.raises(ValueError):
@@ -418,11 +426,6 @@ class TestTMin:
 
 
 class TestRates:
-    def test_absolute_rate(self):
-        assert absolute_rate(0.5, 2.0) == 0.25
-        with pytest.raises(ValueError):
-            absolute_rate(0.5, 0.0)
-
     @pytest.mark.parametrize("r_abs,p_pair,eff,want,tol", [
         (4.644e9, 0.14, 0.05, 32.5e6, 0.01),
         (0.430e9, 0.14, 0.05, 3.0e6, 0.02),

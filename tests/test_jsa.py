@@ -218,6 +218,12 @@ class TestRealField:
             with pytest.raises(ValueError, match="non-finite"):
                 JsaField(grid_s=g, grid_i=g, values=values)
 
+    @pytest.mark.parametrize("shape", [(8, 4), (4, 4), (4,), (4, 8, 1)])
+    def test_rejects_values_off_the_grids(self, shape):
+        g_s, g_i = build_grid(-1.0, 1.0, 4), build_grid(-2.0, 2.0, 8)
+        with pytest.raises(ValueError, match="does not match grids"):
+            JsaField(grid_s=g_s, grid_i=g_i, values=np.ones(shape))
+
 
 class TestSeparableJsa:
     def test_rank_one_minors_vanish(self):
@@ -300,3 +306,7 @@ class TestPairProbability:
     def test_rejects_bad_norm(self):
         with pytest.raises(ValueError):
             pair_probability(1.0, 0.0)
+
+    def test_rejects_negative_kappa(self):
+        with pytest.raises(ValueError, match="kappa must be >= 0"):
+            pair_probability(-1e-3, 1.0)

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import re
 import weakref
 from dataclasses import fields, replace
@@ -10,10 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heraldsim import jsa, povm, scenarios
-from heraldsim.herald import PULSE_LENGTH_FACTOR
+from heraldsim.herald import PULSE_LENGTH_FACTOR, idler_density_matrix
 from heraldsim.jsa import JsaField, SourceParams
 from heraldsim.numerics import FrequencyGrid, build_grid, rms_time_width
-from heraldsim.povm import DetectorParams, legendre_terms
+from heraldsim.povm import DetectorParams, legendre_terms, povm_weights
 from heraldsim.scenarios import (
     CHOP_TOL,
     MAX_REFINEMENTS,
@@ -67,6 +68,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("sigma 1.0\n")
 
+    @pytest.mark.parametrize("text", ['{"sigma": 1.0', '  {"sigma": 1.0} []', "{sigma = 1}"])
+    def test_invalid_json(self, text):
+        with pytest.raises(ConfigError, match="invalid JSON config"):
+            parse_config_text(text)
+
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             scenario_from_dict({"sigma": 1, "mu_s": 0, "mu_i": 0, "B": 1,
@@ -78,6 +84,15 @@ class TestConfigParsing:
                                 "T": 1, "pump_wavelength_nm": 1305.0})
         with pytest.raises(ConfigError, match="exactly one"):
             scenario_from_dict({"T": 1})
+
+    @pytest.mark.parametrize("data, match", [
+        ({"sigma": 1, "mu_s": 0, "B": 1, "T": 1}, r"missing direct-source keys: \['mu_i'\]"),
+        ({"pump_wavelength_nm": 1305.0, "beta2": 0.0, "T": 1},
+         r"missing physical-source keys: \['beta3', 'fiber_length_m', "),
+    ])
+    def test_missing_source_keys(self, data, match):
+        with pytest.raises(ConfigError, match=match):
+            scenario_from_dict(data)
 
     def test_missing_window(self):
         with pytest.raises(ConfigError, match="'T'"):
@@ -620,6 +635,15 @@ class TestCertificate:
         assert (result.n_signal, result.n_idler) == (64, 64)
         assert pipeline_calls == sampled_levels[-1:] == [(64, 64)]
 
+    def test_walk_stops_before_a_level_over_the_budget(self, sampled_levels,
+                                                       pipeline_calls, monkeypatch):
+        # the defect resolves only at 1024/1536; with the budget at its first
+        # level's cells, the second level is never sampled
+        monkeypatch.setattr(scenarios, "MAX_CELLS", DEFECT.n_signal * DEFECT.n_idler)
+        result = run_scenario(DEFECT)
+        assert not result.report.resolved
+        assert sampled_levels == pipeline_calls == [(256, 384)]
+
     def test_without_refinement_the_first_level_is_returned(self, pipeline_calls):
         result = run_scenario(DEFECT, refine=False)
         assert not result.report.resolved
@@ -691,6 +715,34 @@ class TestRealField:
         assert cast.report.t_min == pytest.approx(real.report.t_min, rel=1e-12, abs=0)
 
 
+class TestPhaseAsWindowOffset:
+    """The group-delay phase exp(i (mu_s w_s + mu_i w_i) / 2) moves the signal
+    by mu_s / 2 in time and multiplies the idler by a phase of its own, which
+    leaves the Gram matrix of the collapsed amplitudes, and so H and D_s,
+    alone.  So the phase-on pipeline must give what the real, phase-off field
+    gives when collapsed with the detection modes moved by that time,
+    phi_m(w_s) exp(i mu_s w_s / 2).  This checks the phase-on sampling,
+    mirrored half included, and the complex collapse and eigensolve against
+    a path whose field is real."""
+
+    @pytest.mark.parametrize("name", [n for n in PRESETS if "sweep" not in PRESETS[n]])
+    def test_phase_on_is_the_real_field_under_shifted_modes(self, name):
+        s = preset(name)
+        on = evaluate_pipeline(replace(s.source, include_group_delay_phase=True),
+                               s.detector, m_modes=s.m_modes)
+        off = scenarios.sample_source(s.source, s.detector.B, on.n_signal, on.n_idler)
+        band = off.jsa_band
+        assert band.values.dtype == np.float64
+        assert np.array_equal(band.grid_s.nodes, on.modes.grid_s.nodes)
+        shifted = on.modes.modes * np.exp(0.5j * s.source.mu_s * band.grid_s.nodes)
+        collapsed = (shifted * band.grid_s.weights) @ band.values
+        state = idler_density_matrix(collapsed, povm_weights(on.modes, s.detector.eta),
+                                     band.grid_i)
+        assert state.lam[0] == pytest.approx(on.report.h, rel=0, abs=1e-14)
+        d_s = state.click_weight / (2.0 * np.pi * off.norm_full)
+        assert d_s == pytest.approx(on.report.d_s, rel=1e-14, abs=0)
+
+
 class TestPumpFloor:
     """The pump floor zeroes only cells whose square would be subnormal, at
     most 1.5e-154 of the peak: every report, and the grid level it comes from,
@@ -738,6 +790,36 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             Scenario(name="x", source=preset("fig3").source,
                      detector=preset("fig3").detector, pair_probability=1.5)
+
+    @pytest.mark.parametrize("changes, match", [
+        ({"m_modes": 0}, "modes must be >= 1"),
+        ({"external_efficiency": 0.0}, "external_efficiency"),
+        ({"external_efficiency": 1.5}, "external_efficiency"),
+        # c = B T / 4 overflows, or is finite with far more Legendre terms
+        # than an array of MAX_CELLS can hold
+        ({"detector": DetectorParams(B=1e200, T=1e200)}, "c = B T / 4 = inf"),
+        ({"detector": DetectorParams(B=2 * np.pi, T=1e300)}, "c = B T / 4 = 1.5708e"),
+        ({"sweep": SweepSpec(0.1, 1e300, 3)}, "c = B T / 4 = 1.5708e"),
+        # the field, N = 100042 terms per mode, and a 12000-node Gauss rule
+        ({"n_signal": 100_000}, "the 100000x384 grid"),
+        ({"m_modes": 100_000}, "the 100042x384 grid, with N = 100042"),
+        ({"n_signal": 12_000, "n_idler": 8}, "the 12000x8 grid"),
+    ])
+    def test_rejects_settings_out_of_range(self, changes, match):
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            replace(preset("fig3"), **changes)
+
+    def test_first_level_may_fill_the_budget(self):
+        # an n x n level of MAX_CELLS cells fits; one more idler node does not
+        n = math.isqrt(scenarios.MAX_CELLS)
+        assert n * n == scenarios.MAX_CELLS
+        replace(preset("fig3"), n_signal=n, n_idler=n)
+        with pytest.raises(ConfigError, match=f"more than {scenarios.MAX_CELLS} entries"):
+            replace(preset("fig3"), n_signal=n, n_idler=n + 1)
+
+    def test_sweep_needs_a_point(self):
+        with pytest.raises(ConfigError, match="at least one point"):
+            SweepSpec(0.1, 2.0, 0)
 
     def test_sweep_bounds(self):
         with pytest.raises(ConfigError):

@@ -49,6 +49,11 @@ class TestWavelengthBand:
         with pytest.raises(ValueError):
             wavelength_band_to_angular_bandwidth(1300.0, 200.0)
 
+    @pytest.mark.parametrize("center, width", [(1306.5, -0.1), (0.0, 0.1), (-1306.5, 0.1)])
+    def test_rejects_negative_width_or_centre(self, center, width):
+        with pytest.raises(ValueError, match="center must be positive and width non-negative"):
+            wavelength_band_to_angular_bandwidth(center, width)
+
 
 class TestPumpBandwidth:
     def test_paper_pump(self):
