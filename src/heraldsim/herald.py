@@ -23,7 +23,6 @@ from .jsa import JsaField, SourceParams
 from .numerics import (
     FrequencyGrid,
     abs_squared,
-    fix_column_phases,
     float_or_complex,
     hermitian_eigen,
     rms_time_width,
@@ -52,7 +51,7 @@ class HeraldedState:
     click_weight: float
     amplitudes: np.ndarray  # (M, n_i), sqrt(eta_m / trace) Phi_m
     lam: np.ndarray  # eigenvalues, descending, summing to 1; min(M, n_i) of them
-    leading_mode: np.ndarray  # (n_i,) eigenmode of lam[0], (1/2pi)-normalized
+    leading_mode: np.ndarray  # (n_i,) eigenmode of lam[0], (1/2pi)-normalized, any phase
 
     def __post_init__(self):
         for name in ("amplitudes", "lam", "leading_mode"):
@@ -70,17 +69,27 @@ class HeraldedState:
         """(n_i, lam.size) read-only eigenmode columns, (1/2pi)-orthonormal,
         in the order of ``lam``, from a thin SVD of the weighted amplitudes.
 
-        Each column is rotated so that its first node above 1e-8 of its
-        largest magnitude is real and positive.  Column 0 is ``leading_mode``
-        up to rounding and, where that reference node is tiny, a global phase.
+        Only ``--dump-modes`` reads these: each column is rotated so that its
+        first node above 1e-3 of its largest magnitude is real and positive,
+        and the dump writes each value below 1e-12 of that magnitude as 0.
+        Column 0 is ``leading_mode`` up to one unit phase.
         """
         sw = np.sqrt(self.grid_i.weights)
         u, _, _ = np.linalg.svd((self.amplitudes * sw[None, :]).T / np.sqrt(2.0 * np.pi),
                                 full_matrices=False)
         modes = (u / sw[:, None]) * np.sqrt(2.0 * np.pi)
-        fix_column_phases(modes)  # the sign rule of the detection modes
+        _fix_phases(modes)
         modes.setflags(write=False)
         return modes
+
+
+def _fix_phases(vectors: np.ndarray) -> None:
+    """Rotate each column in place so that its first entry above 1e-3 of its
+    largest magnitude, which rounding moves by about 1e-13, is real and positive."""
+    mags = np.abs(vectors)
+    first = np.argmax(mags > 1e-3 * mags.max(axis=0), axis=0)
+    ref = vectors[first, np.arange(first.size)]
+    vectors *= ref.conj() / np.abs(ref)
 
 
 @dataclass(frozen=True)
@@ -126,9 +135,9 @@ def idler_density_matrix(
     b_m = a_m sqrt(w_i / 2pi), the quadrature-weighted rho equals B^T B^*, so
     its nonzero eigenvalues are those of the M x M Gram matrix G = B^* B^T,
     and an eigenvector v of G with eigenvalue g gives the eigenvector
-    B^T v / sqrt(g) of rho.  Only the leading one is formed.  Real amplitudes
-    stay real.  The leading eigenmode is rotated so that its first node above
-    1e-8 of its largest magnitude is real and positive.
+    B^T v / sqrt(g) of rho.  Only the leading one is formed, and it keeps the
+    phase the eigensolver gives it: tau_idl, its one reader, does not depend
+    on a phase.  Real amplitudes stay real.
     """
     collapsed = float_or_complex(collapsed)
     eta_weights = np.asarray(eta_weights, dtype=float)
@@ -162,7 +171,6 @@ def idler_density_matrix(
     g = np.maximum(g[:min(b.shape)], 0.0)
     lam = g / np.sum(g)
     leading = (b.T @ v[:, 0]) * (np.sqrt(2.0 * np.pi / g[0]) / sw)
-    fix_column_phases(leading[:, None])
     return HeraldedState(grid_i=grid_i, click_weight=click_weight, amplitudes=amplitudes,
                          lam=lam, leading_mode=leading)
 

@@ -1,8 +1,7 @@
 """Shared numerical primitives: quadrature grids, normalized Legendre
 polynomials, the Legendre tail that certifies a sampled field, the
 descending eigensolve of the heralded state's Gram matrix (a named call, so
-that the benchmark can time it), the phase convention of eigenvectors, and
-moment-based pulse-width estimation.
+that the benchmark can time it), and moment-based pulse-width estimation.
 
 One three-term recurrence (``_legendre_rows``) serves every Legendre use: the
 Newton passes of the Gauss-Legendre rule, the rule's weights and tail rows,
@@ -17,10 +16,9 @@ end node's weight is off by 3.8e-11: w = 2/((1 - x^2) P_n'(x)^2) turns a
 node's rounding error delta into a relative weight error of up to
 2 delta / (1 - x^2), and 1 - x^2 = 2.4e-6 there.
 
-All functions but ``fix_column_phases``, which works in place, are pure;
-``FrequencyGrid`` is immutable and safe to share across threads: the
-derivative's stencil, computed on first read, comes out the same whichever
-thread computes it.
+All functions are pure; ``FrequencyGrid`` is immutable and safe to share
+across threads: the derivative's stencil, computed on first read, comes out
+the same whichever thread computes it.
 """
 from __future__ import annotations
 
@@ -248,18 +246,6 @@ def hermitian_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Like ``eigh``, it reads only the lower triangle."""
     vals, vecs = np.linalg.eigh(a)
     return vals[::-1], vecs[:, ::-1]
-
-
-def fix_column_phases(vectors: np.ndarray) -> None:
-    """Fix the free phase (the sign, if real) of each column, in place.
-
-    Each column is rotated so that its first entry above 1e-8 of the column's
-    largest magnitude is real and positive.
-    """
-    mags = np.abs(vectors)
-    first = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
-    ref = vectors[first, np.arange(first.size)]
-    vectors *= ref.conj() / np.abs(ref)
 
 
 def sinc(x, where=True):

@@ -18,11 +18,12 @@ modes are polynomials evaluated on the Gauss-Legendre band grid.  The
 coefficients and eigenvalues are solved once per (c, number of modes) and
 cached, so grids of different sizes share one solve.
 
-Each mode is real up to a sign, fixed by one rule: the mode is positive at
-its first grid node above 1e-8 of its largest magnitude.  psi_0 has no zero on
-the band, so it comes out positive everywhere.  Mode n is psi_n, of parity
-n % 2, also inside the cluster of chi ~ 1 where rounding cannot order the
-closed-form eigenvalues.
+Each mode is real up to a sign, fixed in the expansion by Slepian's rule:
+psi_n(0) > 0 for even n and psi_n'(0) > 0 for odd n.  Those values are at
+least 0.44 in magnitude up to c = 1300, so rounding cannot flip a sign, and no
+grid changes it.  psi_0 has no zero on the band, so it is positive everywhere.
+Mode n is psi_n, of parity n % 2, also inside the cluster of chi ~ 1 where
+rounding cannot order the closed-form eigenvalues.
 """
 from __future__ import annotations
 
@@ -32,12 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import (
-    FrequencyGrid,
-    build_grid,
-    fix_column_phases,
-    legendre_vander,
-)
+from .numerics import FrequencyGrid, build_grid, legendre_vander
 
 
 @dataclass(frozen=True)
@@ -142,7 +138,8 @@ def _prolate_expansion(c: float, m_modes: int) -> tuple[np.ndarray, np.ndarray]:
     n // 2 of the block of parity n % 2.  With mu the eigenvalue
     of the finite Fourier transform integral exp(i c x t) psi(t) dt, its value
     and slope at x = 0 give |mu| = sqrt(2) beta_0 / psi(0) for even modes and
-    c sqrt(2/3) beta_1 / psi'(0) for odd modes, and chi = c mu^2 / 2pi.  The
+    c sqrt(2/3) beta_1 / psi'(0) for odd modes, and chi = c mu^2 / 2pi.  Each
+    column's sign makes that psi(0) or psi'(0) positive, Slepian's sign.  The
     parts of the blocks that do not depend on c come from ``_block_tables``.
     """
     n_terms = legendre_terms(c, m_modes)
@@ -158,10 +155,12 @@ def _prolate_expansion(c: float, m_modes: int) -> tuple[np.ndarray, np.ndarray]:
     flat[:, ::half + 1] = diag
     flat[:, 1::half + 1] = flat[:, half::half + 1] = upper
     _, coefs = np.linalg.eigh(blocks)
+    at_x0 = np.matmul(at_0[:, None], coefs)  # psi(0) of even, psi'(0) of odd columns
+    coefs *= np.sign(at_x0)
     # row p of mu is block p's; chi falls strictly with n (Slepian & Pollak
     # 1961), so the rows interleave, even first
     mu_factor = np.array([[np.sqrt(2.0)], [c * np.sqrt(2.0 / 3.0)]])
-    mu = mu_factor * coefs[:, 0] / np.matmul(at_0[:, None], coefs)[:, 0]
+    mu = mu_factor * coefs[:, 0] / np.abs(at_x0[:, 0])
     chi = (c * mu**2 / (2.0 * np.pi)).T.ravel()
     coef = np.zeros((n_terms, m_modes))
     coef[0::2, 0::2] = coefs[0][:, :(m_modes + 1) // 2]
@@ -189,9 +188,9 @@ def detection_modes(d: DetectorParams, n_grid: int, m_modes: int) -> DetectionMo
 
     Returns the top ``m_modes`` eigenpairs, the modes sampled on an
     ``n_grid``-node Gauss-Legendre grid over [-B/2, B/2], and as ``chi_all``
-    the expansion spectrum: its N values sum to 2c/pi.  Sign convention: every
-    mode is positive at its first node above 1e-8 of its largest magnitude
-    (``numerics.fix_column_phases``).
+    the expansion spectrum: its N values sum to 2c/pi.  Each mode carries
+    Slepian's sign, psi_n(0) > 0 for even n and psi_n'(0) > 0 for odd n, set
+    once per (c, m_modes) in the expansion, so no grid changes it.
 
     The Legendre coefficients and eigenvalues depend only on c and m_modes
     and are solved once per pair (``_prolate_expansion``); each grid only
@@ -210,7 +209,6 @@ def detection_modes(d: DetectorParams, n_grid: int, m_modes: int) -> DetectionMo
     coef = coef * np.sqrt(4.0 * np.pi / d.B)
     grid = build_grid(-0.5 * d.B, 0.5 * d.B, n_grid)
     phi = coef.T @ _band_rows(d.B, n_grid, chi.size)
-    fix_column_phases(phi.T)
     return DetectionModeSet(grid_s=grid, modes=phi, chi=chi[:m_modes], chi_all=chi)
 
 

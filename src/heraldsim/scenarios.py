@@ -76,8 +76,9 @@ CSV_COLUMNS = (
     "P_pair", "P_s", "D_s", "H", "T_min", "R_abs", "practical_rate",
 )
 SWEEP_COLUMNS = ("T", "c", "H", "D_s", "T_min", "R_abs")
-# modes per table written by dump_mode_tables
-DUMP_MODES = 6
+# modes per table written by dump_mode_tables, and the fraction of a mode's
+# largest magnitude below which a value is rounding, written as 0
+DUMP_MODES, DUMP_FLOOR = 6, 1e-12
 
 
 class ConfigError(ValueError):
@@ -637,17 +638,22 @@ def _write_table(path: Path, header: str, columns: list[np.ndarray]) -> None:
 
 def dump_mode_tables(result: PipelineResult, directory: str | Path) -> None:
     """Write (omega, phi_m) and (omega_i, eigenmode_n) sample tables of the
-    first DUMP_MODES modes for external plotting."""
+    first DUMP_MODES modes for external plotting.  Each value below DUMP_FLOOR
+    of its mode's largest magnitude is written as 0, so no rounding-level
+    change rewrites a cell where a mode vanishes."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    phi = result.modes.modes[:DUMP_MODES]
+    phi = result.modes.modes[:DUMP_MODES].copy()
+    phi[np.abs(phi) < DUMP_FLOOR * np.abs(phi).max(axis=1, keepdims=True)] = 0.0
     header = "omega," + ",".join(f"phi_{m}" for m in range(len(phi)))
     _write_table(directory / "detection_modes.csv", header,
                  [result.modes.grid_s.nodes, *phi])
 
     e = result.state.eigenmodes[:, :DUMP_MODES]
+    parts = np.stack((e.real, e.imag), axis=2)  # re, im of each mode, side by side
+    parts[np.abs(parts) < DUMP_FLOOR * np.abs(e).max(axis=0)[:, None]] = 0.0
     header = "omega_i," + ",".join(
         f"mode_{n}_re,mode_{n}_im" for n in range(e.shape[1]))
     _write_table(directory / "idler_modes.csv", header,
-                 [result.state.grid_i.nodes, *(p for col in e.T for p in (col.real, col.imag))])
+                 [result.state.grid_i.nodes, *parts.reshape(len(e), -1).T])

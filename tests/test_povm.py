@@ -3,9 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
 from heraldsim import povm, scenarios
-from heraldsim.numerics import build_grid
+from heraldsim.numerics import build_grid, legendre_vander
 from heraldsim.povm import (
     DetectionModeSet,
     DetectorParams,
@@ -149,21 +150,31 @@ class TestDetectionModes:
         assert np.all(phi0 > 0)
 
     def test_sign_convention(self):
-        m = modes_for_c(3.0, m_modes=6)
-        center = np.argmin(np.abs(m.grid_s.nodes))
-        assert m.modes[0, center] > 0
-        for row in m.modes[1:]:
-            nz = np.flatnonzero(np.abs(row) > 1e-8 * np.max(np.abs(row)))
-            assert row[nz[0]] > 0
-        # at fig1, c = 40 pi, every mode, psi_0 included, is positive at its
-        # first non-negligible node, on even and odd grids alike
+        # Slepian's sign: psi_n(0) > 0 for even n and psi_n'(0) > 0 for odd n,
+        # evaluated from the coefficients by numpy's Legendre series.  These
+        # values are far from 0, so rounding cannot flip a mode's sign
+        for c in (0.01, 0.35, np.pi / 4, 7.0, 40 * np.pi, 1300.0):
+            coef, _ = povm._prolate_expansion(c, auto_mode_count(c))
+            series = coef * np.sqrt(np.arange(coef.shape[0]) + 0.5)[:, None]
+            at_0 = np.where(np.arange(coef.shape[1]) % 2 == 0,
+                            legendre.legval(0.0, series),
+                            legendre.legval(0.0, legendre.legder(series)))
+            assert np.all(at_0 >= 0.4), f"c = {c}"
+
+    def test_modes_on_any_grid_are_one_expansion(self):
+        # at fig1, c = 40 pi, the modes on even and odd grids alike are the
+        # rows of one cached expansion at the grid's nodes, with no sign pass
+        # per grid
         d = preset("fig1").detector
         m_modes = auto_mode_count(d.c)
+        povm._prolate_expansion.cache_clear()
+        coef, _ = povm._prolate_expansion(d.c, m_modes)
         for n_grid in (360, 361, 512):
             m = detection_modes(d, n_grid, m_modes)
-            for row in m.modes:
-                nz = np.flatnonzero(np.abs(row) > 1e-8 * np.max(np.abs(row)))
-                assert row[nz[0]] > 0
+            rows = legendre_vander(m.grid_s.nodes * (2.0 / d.B), coef.shape[0])
+            assert np.array_equal(m.modes, (coef * np.sqrt(4.0 * np.pi / d.B)).T @ rows)
+        info = povm._prolate_expansion.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
 
     def test_rejects_bad_mode_counts(self):
         d = DetectorParams(B=2 * np.pi, T=0.5)
@@ -289,6 +300,8 @@ def inline_prolate_expansion(c, m_modes):
     for parity, beta in enumerate(coefs):
         mu = mu_factor[parity] * beta[0] / (at_0[parity] @ beta)
         chi[parity::2] = c * mu**2 / (2.0 * np.pi)
+        # Slepian's sign: psi(0) > 0 for even modes, psi'(0) > 0 for odd ones
+        beta *= np.sign(at_0[parity] @ beta)
     coef = np.zeros((n_terms, m_modes))
     coef[0::2, 0::2] = coefs[0][:, :(m_modes + 1) // 2]
     coef[1::2, 1::2] = coefs[1][:, :m_modes // 2]
