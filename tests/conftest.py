@@ -1,11 +1,6 @@
 import pytest
-from hypothesis import settings
 
 from heraldsim import scenarios
-
-# CI runs Tier-1 with --hypothesis-profile ci: a failing draw then prints the
-# @reproduce_failure line that replays it locally
-settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture(autouse=True)

@@ -391,8 +391,8 @@ class TestGramSpectrum:
 
         assert state.lam[0] - state.lam[1] >= 1e-3  # these draws separate lam_0
         lead, ref = state.leading_mode, state.eigenmodes[:, 0]
-        # the two agree up to a unit phase: the phase rule's reference node may
-        # sit far below the column maximum
+        # leading_mode keeps the eigensolver's phase, so the two agree only up
+        # to a unit phase
         phase = np.vdot(lead, ref)
         phase /= abs(phase)
         assert np.max(np.abs(phase * lead - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -423,24 +423,24 @@ class TestEigenmodesOnlyWhenRead:
         monkeypatch.setattr(np.linalg, "svd", counting)
         return calls
 
-    def test_reports_take_no_svd(self, svd_calls):
-        for name in ("fig1", "fig3", "fig5-180ps", "fig5-9ps", "fig5-wideband"):
-            run_scenario(preset(name))
-        assert len(scenarios.run_sweep(preset("fig4"))) == 17
-        assert svd_calls == []
-
-    def test_reports_take_no_phase_pass(self, monkeypatch, tmp_path):
-        # every mode's sign is set where the mode is defined, so the report
-        # path fixes no sign or phase on grid samples; only the dump does
+    @pytest.fixture
+    def phase_calls(self, monkeypatch):
         calls = []
         real = herald._fix_phases
         monkeypatch.setattr(herald, "_fix_phases", lambda v: calls.append(v.shape) or real(v))
+        return calls
+
+    def test_reports_take_no_svd(self, svd_calls, phase_calls):
+        # every mode's sign is set where the mode is defined, so the report
+        # path also fixes no sign or phase on grid samples
         for name in ("fig1", "fig3", "fig5-180ps", "fig5-9ps", "fig5-wideband"):
             run_scenario(preset(name))
         assert len(scenarios.run_sweep(preset("fig4"))) == 17
-        assert calls == []
+        assert svd_calls == [] and phase_calls == []
+
+    def test_dump_takes_one_phase_pass(self, phase_calls, tmp_path):
         scenarios.dump_mode_tables(run_scenario(preset("fig3")), tmp_path)
-        assert len(calls) == 1
+        assert len(phase_calls) == 1
 
     def test_dump_takes_one_svd_per_result(self, svd_calls, tmp_path):
         results = [run_scenario(preset(name)) for name in ("fig3", "fig5-180ps")]

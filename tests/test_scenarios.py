@@ -768,6 +768,20 @@ class TestPumpFloor:
     def test_level_points(self, points):
         self.assert_same_numbers(points)
 
+    @pytest.mark.parametrize("phase", [False, True])
+    @pytest.mark.parametrize("name", ["fig1", "fig3", "fig5-180ps"])
+    def test_dump_tables(self, name, phase, tmp_path):
+        s = preset(name)
+        s = replace(s, source=replace(s.source, include_group_delay_phase=phase))
+        scenarios.dump_mode_tables(run_scenario(s), tmp_path / "floored")
+        scenarios._source_levels.cache_clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jsa, "EXP_FLOOR", float(np.log(np.finfo(float).tiny)))
+            scenarios.dump_mode_tables(run_scenario(s), tmp_path / "full")
+        for table in ("detection_modes.csv", "idler_modes.csv"):
+            assert ((tmp_path / "floored" / table).read_bytes()
+                    == (tmp_path / "full" / table).read_bytes())
+
     # |mu| sigma below about 1 stretches the full-support grids past the floor
     @given(sigma=st.floats(0.5, 2.0), mu_s=st.floats(-2.0, 2.0), mu_i=st.floats(-2.0, 2.0),
            B=st.floats(0.5, 10.0), T=st.floats(0.05, 5.0), phase=st.booleans())
