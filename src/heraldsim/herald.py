@@ -7,9 +7,9 @@ normalized under the same (1/2pi) measure so rho = sum_n lambda_n e_n e_n^*.
 
 The heralded state rho = sum_m eta_m Phi_m Phi_m^* has rank <= M, the number
 of retained detection modes.  It is held as its M weighted amplitudes, and its
-spectrum and leading eigenmode come from an eigensolve of the M x M Gram
-matrix of those amplitudes.  The dense n_i x n_i matrix and the full set of
-idler eigenmodes are only built when read.
+spectrum and the pulse length tau_idl of its leading eigenmode come from an
+eigensolve of the M x M Gram matrix of those amplitudes.  The dense n_i x n_i
+matrix and the idler eigenmodes are only built when read.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ PULSE_LENGTH_FACTOR = 4.0 * np.sqrt(2.0)
 @dataclass(frozen=True)
 class HeraldedState:
     """Heralded idler state on a frequency grid, held as rank-<=M amplitudes,
-    with its spectrum and leading eigenmode.
+    with its spectrum and the pulse length tau_idl that T_min reads.
 
     rho(w_i, w_i') = sum_m a_m(w_i) a_m^*(w_i') for the rows a_m of
     ``amplitudes``; ``rho`` builds that dense matrix on each read, and
@@ -51,10 +51,10 @@ class HeraldedState:
     click_weight: float
     amplitudes: np.ndarray  # (M, n_i), sqrt(eta_m / trace) Phi_m
     lam: np.ndarray  # eigenvalues, descending, summing to 1; min(M, n_i) of them
-    leading_mode: np.ndarray  # (n_i,) eigenmode of lam[0], (1/2pi)-normalized, any phase
+    tau_idl: float  # PULSE_LENGTH_FACTOR times the RMS time width of lam[0]'s mode
 
     def __post_init__(self):
-        for name in ("amplitudes", "lam", "leading_mode"):
+        for name in ("amplitudes", "lam"):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -72,7 +72,6 @@ class HeraldedState:
         Only ``--dump-modes`` reads these: each column is rotated so that its
         first node above 1e-3 of its largest magnitude is real and positive,
         and the dump writes each value below 1e-12 of that magnitude as 0.
-        Column 0 is ``leading_mode`` up to one unit phase.
         """
         sw = np.sqrt(self.grid_i.weights)
         u, _, _ = np.linalg.svd((self.amplitudes * sw[None, :]).T / np.sqrt(2.0 * np.pi),
@@ -135,9 +134,9 @@ def idler_density_matrix(
     b_m = a_m sqrt(w_i / 2pi), the quadrature-weighted rho equals B^T B^*, so
     its nonzero eigenvalues are those of the M x M Gram matrix G = B^* B^T,
     and an eigenvector v of G with eigenvalue g gives the eigenvector
-    B^T v / sqrt(g) of rho.  Only the leading one is formed, and it keeps the
-    phase the eigensolver gives it: tau_idl, its one reader, does not depend
-    on a phase.  Real amplitudes stay real.
+    B^T v / sqrt(g) of rho.  Only the leading one is formed, to give tau_idl,
+    PULSE_LENGTH_FACTOR times its RMS time width, which does not depend on its
+    phase.  Real amplitudes stay real.
     """
     collapsed = float_or_complex(collapsed)
     eta_weights = np.asarray(eta_weights, dtype=float)
@@ -171,25 +170,20 @@ def idler_density_matrix(
     g = np.maximum(g[:min(b.shape)], 0.0)
     lam = g / np.sum(g)
     leading = (b.T @ v[:, 0]) * (np.sqrt(2.0 * np.pi / g[0]) / sw)
+    tau_idl = PULSE_LENGTH_FACTOR * rms_time_width(grid_i, leading)
     return HeraldedState(grid_i=grid_i, click_weight=click_weight, amplitudes=amplitudes,
-                         lam=lam, leading_mode=leading)
+                         lam=lam, tau_idl=tau_idl)
 
 
-def t_min(
-    d: DetectorParams,
-    p: SourceParams,
-    tau_sig: float,
-    idler_mode0_amp: tuple[FrequencyGrid, np.ndarray],
-) -> float:
+def t_min(d: DetectorParams, p: SourceParams, tau_sig: float, tau_idl: float) -> float:
     """Minimum duration of one heralding cycle.
 
     The largest of: the measurement window T, the pump length 4/sigma, the
-    filtered-signal pulse length ``tau_sig``, and the pulse length of the
-    dominant heralded idler mode, PULSE_LENGTH_FACTOR times the RMS width of
-    its amplitude.  ``tau_sig`` does not depend on T, so it is read once per
-    source level (``scenarios.SourceSamples``), whatever the window.
+    filtered-signal pulse length ``tau_sig`` and the pulse length ``tau_idl``
+    of the dominant heralded idler mode (``HeraldedState``).  ``tau_sig`` does
+    not depend on T, so it is read once per source level
+    (``scenarios.SourceSamples``), whatever the window.
     """
-    tau_idl = PULSE_LENGTH_FACTOR * rms_time_width(*idler_mode0_amp)
     return max(d.T, 4.0 / p.sigma, tau_sig, tau_idl)
 
 

@@ -138,11 +138,13 @@ def legendre_vander(x: np.ndarray, n_terms: int) -> np.ndarray:
 _MAX_NEWTON_PASSES = 10
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], and the rows
     w_r Pbar_k(x_r) of the discrete Legendre transform for the top n // 8
-    degrees k below n, computed once per n.
+    degrees k below n, computed once per n.  The last 8 rules are kept, the
+    two axes of each of the at most four grid levels one run samples
+    (``scenarios.MAX_REFINEMENTS``); the tail rows are 8 n (n // 8) bytes.
 
     Newton's method on P_n, from Tricomi's asymptotic guesses for the ceil(n/2)
     nodes in [0, 1), stops once no node moves by more than 4 ulp of 1: three

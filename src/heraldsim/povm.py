@@ -14,9 +14,8 @@ terms k and k +- 2, so it splits into an even-k and an odd-k symmetric
 tridiagonal matrix whose order depends on c and the number of modes, not on
 the grid.  The kernel eigenvalues follow in closed form from the expansion
 coefficients (Xiao, Rokhlin & Yarvin, Inverse Problems 17, 805 (2001)), and the
-modes are polynomials evaluated on the Gauss-Legendre band grid.  The
-coefficients and eigenvalues are solved once per (c, number of modes) and
-cached, so grids of different sizes share one solve.
+modes are polynomials evaluated on the Gauss-Legendre band grid, so one
+solve serves a grid of any size.
 
 Each mode is real up to a sign, fixed in the expansion by Slepian's rule:
 psi_n(0) > 0 for even n and psi_n'(0) > 0 for odd n.  Those values are at
@@ -89,13 +88,13 @@ def legendre_terms(c: float, m_modes: int) -> int:
     return n + n % 2
 
 
-# The three table caches below hold 4 tables each; a run reads one of each.
-# Runs in a row that share (c, M) share the solve (fig5-9ps, then
-# fig5-wideband), and fig4's windows of one N share the block tables and the
-# band rows (12 hits in 17).  Bound 4 keeps the five presets' four keys; at
-# bound 1, fig5-180ps after fig3 builds its band rows in freshly faulted pages
-# (161 minor faults against 2, about 0.2 ms).  A larger bound keeps past
-# windows' tables, which no later window reads.
+# The two table caches below hold 4 tables each; a run reads one of each.
+# fig4's windows of one N share the block tables and the band rows (12 hits
+# in 17).  Bound 4 keeps the five presets' four keys; at bound 1, fig5-180ps
+# after fig3 builds its band rows in freshly faulted pages (161 minor faults
+# against 2, about 0.2 ms).  A larger bound keeps past windows' tables, which
+# no later window reads.  The prolate solve depends on c, which a run's one
+# window fixes, so it is not kept.
 @lru_cache(maxsize=4)
 def _block_tables(n_terms: int) -> tuple[np.ndarray, ...]:
     """The parts of the two parity blocks of the prolate operator on n_terms
@@ -122,11 +121,9 @@ def _block_tables(n_terms: int) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-@lru_cache(maxsize=4)
 def _prolate_expansion(c: float, m_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Legendre coefficients of the top m_modes prolate functions and
-    the spectrum of the expansion, computed once per (c, m_modes); the last 4
-    pairs are kept.
+    """Legendre coefficients of the top m_modes prolate functions and the
+    spectrum of the expansion.
 
     Returns the N x m_modes coefficients in the normalized basis
     sqrt(k + 1/2) P_k, so each column has unit norm on [-1, 1], and the N
@@ -165,8 +162,6 @@ def _prolate_expansion(c: float, m_modes: int) -> tuple[np.ndarray, np.ndarray]:
     coef = np.zeros((n_terms, m_modes))
     coef[0::2, 0::2] = coefs[0][:, :(m_modes + 1) // 2]
     coef[1::2, 1::2] = coefs[1][:, :m_modes // 2]
-    coef.setflags(write=False)
-    chi.setflags(write=False)
     return coef, chi
 
 
@@ -190,11 +185,11 @@ def detection_modes(d: DetectorParams, n_grid: int, m_modes: int) -> DetectionMo
     ``n_grid``-node Gauss-Legendre grid over [-B/2, B/2], and as ``chi_all``
     the expansion spectrum: its N values sum to 2c/pi.  Each mode carries
     Slepian's sign, psi_n(0) > 0 for even n and psi_n'(0) > 0 for odd n, set
-    once per (c, m_modes) in the expansion, so no grid changes it.
+    in the expansion, so no grid changes it.
 
     The Legendre coefficients and eigenvalues depend only on c and m_modes
-    and are solved once per pair (``_prolate_expansion``); each grid only
-    evaluates the polynomials at its nodes, so any n_grid is accepted; from
+    (``_prolate_expansion``); the grid only enters where the polynomials are
+    evaluated at its nodes, so any n_grid is accepted; from
     N = ``legendre_terms(c, m_modes)`` nodes on, where the pipeline starts, the
     Gauss rule integrates the modes' products exactly.  The grid is the one
     ``build_grid`` caches, so it is the grid a joint amplitude sampled on the

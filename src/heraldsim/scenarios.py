@@ -113,7 +113,8 @@ class _stage:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """``count`` evenly spaced windows T from ``start`` to ``stop``."""
+    """``count`` evenly spaced windows T from ``start`` to ``stop``; the
+    windows are one array, so at most ``MAX_CELLS`` of them."""
 
     start: float
     stop: float
@@ -124,6 +125,8 @@ class SweepSpec:
             raise ConfigError("sweep bounds must be finite, positive and ordered")
         if self.count < 1:
             raise ConfigError("sweep needs at least one point")
+        if self.count > MAX_CELLS:
+            raise ConfigError(f"sweep of {self.count} points: at most {MAX_CELLS}")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -329,7 +332,7 @@ def evaluate_pipeline(
         h = float(state.lam[0])
 
     with _stage("metrics"):
-        tmin = t_min(detector, source, samples.tau_sig, (grid_i, state.leading_mode))
+        tmin = t_min(detector, source, samples.tau_sig, state.tau_idl)
         r_abs = d_s / tmin
         practical = None
         if external_efficiency is not None:

@@ -92,6 +92,8 @@ class TestRunCommand:
         (None, ["--grid-signal", "1e5"]),
         # N = 100042 Legendre terms per mode
         (None, ["--modes", "100000"]),
+        # 1e12 windows, one array of 8 TB
+        ({**PRESETS["fig3"], "sweep": "T 0.1 4.0 1000000000000"}, None),
     ])
     def test_size_past_the_budget_is_one_line_exit_1(self, tmp_path, capsys, keys, flags):
         if keys is None:

@@ -154,24 +154,37 @@ class TestSignalClickProbability:
         # The window kernel is (1/2pi) integral over |t| < T/2 of
         # exp(i (w - w') t) dt, so sum_m chi_m Phi_m Phi_m^* is the integral
         # of F(t, w_i) F(t, w_i')^* dt, with F(t, w_i) the band integral of
-        # exp(i w_s t) Phi(w_s, w_i).  On Gauss nodes (t_j, v_j) the singular
-        # values s of sqrt(v_j) F(t_j, w_i) sqrt(w_i) give H = s_0^2 / sum s^2
-        # and D_s = eta sum s^2 / (2pi norm_full): no prolate function, no M
-        # and no sign.  The t-integrand is entire, so ceil(c) + 16 nodes do
+        # exp(i w_s t) Phi(w_s, w_i).  On Gauss nodes (t_j, v_j) the SVD
+        # U S V^H of A = sqrt(v_j) F(t_j, w_i) sqrt(w_i) gives
+        # H = s_0^2 / sum s^2 and D_s = eta sum s^2 / (2pi norm_full), and,
+        # since the weighted rho is A^T conj(A) = conj(V) S^2 V^T, the leading
+        # idler mode: row 0 of V^H over sqrt(w_i), not conjugated.  No prolate
+        # function, no M and no sign.  The t-integrand is entire, so
+        # ceil(c) + 16 nodes do
         s = preset(name)
-        result = run_scenario(s)
-        samples = scenarios.sample_source(s.source, s.detector.B, result.n_signal,
-                                          result.n_idler)
-        band = samples.jsa_band
         d = s.detector
         t = build_grid(-0.5 * d.T, 0.5 * d.T, math.ceil(d.c) + 16)
-        f = (np.exp(1j * np.outer(t.nodes, band.grid_s.nodes)) * band.grid_s.weights) \
-            @ band.values
-        sv = np.linalg.svd(np.sqrt(t.weights)[:, None] * f * np.sqrt(band.grid_i.weights),
-                           compute_uv=False)
-        assert abs(sv[0] ** 2 / np.sum(sv**2) - result.report.h) <= 1e-12
-        assert abs(d.eta * np.sum(sv**2) / (2 * np.pi * samples.norm_full)
-                   - result.report.d_s) <= 1e-12
+        # with the phase on, fig1's H and D_s differ from the pipeline's by 3e-11
+        for phase, tol in ((False, 1e-12), (True, 1e-10)):
+            source = replace(s.source, include_group_delay_phase=phase)
+            result = run_scenario(replace(s, source=source))
+            samples = scenarios.sample_source(source, d.B, result.n_signal, result.n_idler)
+            band = samples.jsa_band
+            f = (np.exp(1j * np.outer(t.nodes, band.grid_s.nodes))
+                 * band.grid_s.weights) @ band.values
+            sw = np.sqrt(band.grid_i.weights)
+            _, sv, vh = np.linalg.svd(np.sqrt(t.weights)[:, None] * f * sw,
+                                      full_matrices=False)
+            assert abs(sv[0] ** 2 / np.sum(sv**2) - result.report.h) <= tol, phase
+            assert abs(d.eta * np.sum(sv**2) / (2 * np.pi * samples.norm_full)
+                       - result.report.d_s) <= tol, phase
+            mode = vh[0] / sw * np.sqrt(2 * np.pi)
+            ref = result.state.eigenmodes[:, 0]
+            unit = np.vdot(mode, ref)
+            unit /= abs(unit)
+            assert np.max(np.abs(unit * mode - ref)) <= 1e-10 * np.max(np.abs(ref)), phase
+            tau_idl = PULSE_LENGTH_FACTOR * rms_time_width(band.grid_i, mode)
+            assert result.state.tau_idl == pytest.approx(tau_idl, rel=1e-10), phase
 
 
 class TestIdlerDensityMatrix:
@@ -275,7 +288,7 @@ class TestEigenmodePhase:
     def test_every_column_follows_convention(self, name):
         s = preset(name)
         state = evaluate_pipeline(s.source, s.detector).state
-        assert state.eigenmodes.dtype == state.leading_mode.dtype == np.float64
+        assert state.eigenmodes.dtype == np.float64
         assert_phase_convention(state.eigenmodes)
 
     @pytest.mark.parametrize("name", ["fig1", "fig3", "fig5-180ps"])
@@ -370,7 +383,7 @@ class TestLowRankAgainstDenseReference:
 
 
 class TestGramSpectrum:
-    """The Gram-matrix spectrum and leading mode against the thin SVD that
+    """The Gram-matrix spectrum and tau_idl against the thin SVD that
     ``eigenmodes`` takes."""
 
     @pytest.mark.parametrize("complex_rows", [False, True])
@@ -390,26 +403,20 @@ class TestGramSpectrum:
         assert np.max(np.abs(state.lam - s**2 / np.sum(s**2))) <= 1e-14
 
         assert state.lam[0] - state.lam[1] >= 1e-3  # these draws separate lam_0
-        lead, ref = state.leading_mode, state.eigenmodes[:, 0]
-        # leading_mode keeps the eigensolver's phase, so the two agree only up
-        # to a unit phase
-        phase = np.vdot(lead, ref)
-        phase /= abs(phase)
-        assert np.max(np.abs(phase * lead - ref)) <= 1e-10 * np.max(np.abs(ref))
+        # tau_idl is the pulse length of the SVD's leading mode, whose phase,
+        # which the width does not see, the dump's rule sets
+        tau_ref = PULSE_LENGTH_FACTOR * rms_time_width(grid, state.eigenmodes[:, 0])
+        assert state.tau_idl == pytest.approx(tau_ref, rel=1e-13)
 
         detector = DetectorParams(B=2 * np.pi, T=1e-6)
         source = SourceParams(sigma=1e6, mu_s=0.0, mu_i=0.0)
-        t_lead = t_min(detector, source, PULSE_LENGTH_FACTOR * rms_time_width(grid, lead),
-                       (grid, lead))
-        t_ref = t_min(detector, source, PULSE_LENGTH_FACTOR * rms_time_width(grid, ref),
-                      (grid, ref))
-        assert t_lead > 4.0 / source.sigma
-        assert t_lead == pytest.approx(t_ref, rel=1e-13)
+        assert state.tau_idl > 4.0 / source.sigma
+        assert t_min(detector, source, 0.0, state.tau_idl) == state.tau_idl
 
 
 class TestEigenmodesOnlyWhenRead:
-    """The report path reads lam and the leading mode; only a mode dump takes
-    the SVD that builds every idler eigenmode."""
+    """The report path reads lam and tau_idl; only a mode dump takes the SVD
+    that builds every idler eigenmode."""
 
     @pytest.fixture
     def svd_calls(self, monkeypatch):
@@ -453,7 +460,7 @@ class TestEigenmodesOnlyWhenRead:
         state = run_scenario(preset("fig3")).state
         first, second = state.eigenmodes, state.eigenmodes
         assert first is second and len(svd_calls) == 1
-        assert not first.flags.writeable and not state.leading_mode.flags.writeable
+        assert not first.flags.writeable and not state.lam.flags.writeable
         with pytest.raises(ValueError):
             first[0, 0] = 1.0
 
@@ -463,17 +470,17 @@ class TestTMin:
         # with tiny T and narrow amplitudes the pump length 4/sigma wins
         g = build_grid(-60.0, 60.0, 512)
         amp = np.exp(-g.nodes**2 / (2 * 10.0**2))  # fast pulse, sigma_w = 10
+        tau = PULSE_LENGTH_FACTOR * rms_time_width(g, amp)
         value = t_min(DetectorParams(B=2 * np.pi, T=1e-3),
-                      SourceParams(sigma=1.0, mu_s=0.0, mu_i=0.0),
-                      PULSE_LENGTH_FACTOR * rms_time_width(g, amp), (g, amp))
+                      SourceParams(sigma=1.0, mu_s=0.0, mu_i=0.0), tau, tau)
         assert value == pytest.approx(4.0)
 
     def test_window_dominated(self):
         g = build_grid(-8.0, 8.0, 256)
         amp = np.exp(-g.nodes**2 / 2)
+        tau = PULSE_LENGTH_FACTOR * rms_time_width(g, amp)
         value = t_min(DetectorParams(B=2 * np.pi, T=50.0),
-                      SourceParams(sigma=1.0, mu_s=0.0, mu_i=0.0),
-                      PULSE_LENGTH_FACTOR * rms_time_width(g, amp), (g, amp))
+                      SourceParams(sigma=1.0, mu_s=0.0, mu_i=0.0), tau, tau)
         assert value == 50.0
 
     def test_fig1_pipeline_window_dominated(self):

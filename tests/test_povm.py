@@ -59,7 +59,6 @@ class TestDetectionModes:
         # the cached tables give the numbers that building them anew gives
         build_grid.cache_clear()
         povm._band_rows.cache_clear()
-        povm._prolate_expansion.cache_clear()
         for other in (b, detection_modes(d, n_grid, m_modes)):
             assert np.array_equal(a.grid_s.nodes, other.grid_s.nodes)
             assert np.array_equal(a.modes, other.modes) and np.array_equal(a.chi, other.chi)
@@ -69,12 +68,15 @@ class TestDetectionModes:
         grid = build_grid(-0.5 * d.B, 0.5 * d.B, 64)
         rows = povm._band_rows(d.B, 64, legendre_terms(d.c, 12))
         assert rows.shape == (legendre_terms(d.c, 12), 64)
-        coef, chi = povm._prolate_expansion(d.c, 12)
-        for table in (grid.nodes, grid.weights, rows, coef, chi):
+        for table in (grid.nodes, grid.weights, rows, *povm._block_tables(rows.shape[0])):
             with pytest.raises(ValueError, match="read-only"):
                 table.flat[0] = 0.0
         with pytest.raises(AttributeError):
             grid.nodes = np.zeros(64)
+        # the expansion is not cached: each call returns arrays of its own
+        coef, chi = povm._prolate_expansion(d.c, 12)
+        again = povm._prolate_expansion(d.c, 12)
+        assert not any(np.shares_memory(a, b) for a, b in zip((coef, chi), again))
 
     @pytest.mark.parametrize("c", [0.1, 0.35, np.pi / 4, 1.0, 3.0, 7.0])
     def test_trace_identity(self, c):
@@ -163,18 +165,14 @@ class TestDetectionModes:
 
     def test_modes_on_any_grid_are_one_expansion(self):
         # at fig1, c = 40 pi, the modes on even and odd grids alike are the
-        # rows of one cached expansion at the grid's nodes, with no sign pass
-        # per grid
+        # rows of one expansion at the grid's nodes, with no sign pass per grid
         d = preset("fig1").detector
         m_modes = auto_mode_count(d.c)
-        povm._prolate_expansion.cache_clear()
         coef, _ = povm._prolate_expansion(d.c, m_modes)
         for n_grid in (360, 361, 512):
             m = detection_modes(d, n_grid, m_modes)
             rows = legendre_vander(m.grid_s.nodes * (2.0 / d.B), coef.shape[0])
             assert np.array_equal(m.modes, (coef * np.sqrt(4.0 * np.pi / d.B)).T @ rows)
-        info = povm._prolate_expansion.cache_info()
-        assert (info.misses, info.hits) == (1, 3)
 
     def test_rejects_bad_mode_counts(self):
         d = DetectorParams(B=2 * np.pi, T=0.5)
@@ -243,27 +241,26 @@ class TestParityBlocksAgainstDenseReference:
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", recording)
-        povm._prolate_expansion.cache_clear()
         d = DetectorParams(B=2 * np.pi, T=0.5)
         for n_grid in (256, 512, 1024):
             detection_modes(d, n_grid, 12)
-        # the two blocks depend on (c, M), not on the grid: solved once in all
-        info = povm._prolate_expansion.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
-        # N = ceil(c + M + 40) Legendre terms, split evenly between the two
-        # parities, both blocks in one stacked solve
+        # the two blocks depend on (c, M), not on the grid: N = ceil(c + M + 40)
+        # Legendre terms, split evenly between the two parities, both blocks
+        # in one stacked solve per call, whatever the grid
         n_terms = legendre_terms(d.c, 12)
         assert n_terms // 2 <= math.ceil(d.c + 12 + 40) // 2 + 1
-        assert shapes == [(2, n_terms // 2, n_terms // 2)]
+        assert shapes == [(2, n_terms // 2, n_terms // 2)] * 3
 
-    def test_a_refining_run_solves_once(self):
-        povm._prolate_expansion.cache_clear()
+    def test_a_refining_run_solves_once(self, monkeypatch):
+        solves = []
+        real = povm._prolate_expansion
+        monkeypatch.setattr(povm, "_prolate_expansion",
+                            lambda c, m: solves.append(c) or real(c, m))
         # grids this small make run_scenario refine through every level; only
         # the level it returns computes the modes
         result = scenarios.run_scenario(replace(preset("fig3"), n_signal=16, n_idler=16))
         assert result.n_idler == 16 * 2**MAX_REFINEMENTS
-        info = povm._prolate_expansion.cache_info()
-        assert (info.misses, info.hits) == (1, 0)
+        assert len(solves) == 1
 
     def test_odd_grid_pipeline_matches_dense_modes(self, monkeypatch):
         # the default grids are always even; an odd --grid-signal puts a band
@@ -316,14 +313,12 @@ class TestBlockTables:
     @pytest.mark.parametrize("c", [0.157, np.pi / 4, 2 * np.pi, 40 * np.pi])
     def test_bitwise_equal_to_the_inline_formula(self, c):
         m_modes = auto_mode_count(c)
-        povm._prolate_expansion.cache_clear()
         coef, chi = povm._prolate_expansion(c, m_modes)
         ref_coef, ref_chi = inline_prolate_expansion(c, m_modes)
         assert np.array_equal(coef, ref_coef)
         assert np.array_equal(chi, ref_chi)
 
     def test_built_once_per_n(self):
-        povm._prolate_expansion.cache_clear()
         povm._block_tables.cache_clear()
         # three values of c that share N = 54
         cs = (0.157, 0.3, 0.5)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from heraldsim import jsa, povm, scenarios
 from heraldsim.herald import PULSE_LENGTH_FACTOR, idler_density_matrix
 from heraldsim.jsa import JsaField, SourceParams
-from heraldsim.numerics import FrequencyGrid, build_grid, rms_time_width
+from heraldsim.numerics import FrequencyGrid, _legendre_rule, build_grid, rms_time_width
 from heraldsim.povm import DetectorParams, legendre_terms, povm_weights
 from heraldsim.scenarios import (
     CHOP_TOL,
@@ -388,8 +388,9 @@ class TestSweepReuse:
 
 class TestCacheBounds:
     """Every cache that a new window can add to is bounded: the held source
-    samples keep one entry per grid level of a run, MAX_REFINEMENTS + 1, and
-    povm's prolate and band-row caches 4 tables each."""
+    samples keep one entry per grid level of a run, MAX_REFINEMENTS + 1, the
+    Gauss-Legendre rules two per level, and povm's block-table and band-row
+    caches 4 tables each; the prolate expansion is not kept."""
 
     def test_windows_of_another_n_replace_the_held_level(self):
         # fig1 at these windows has N = 262, 266 and 272 > 256, so each window
@@ -407,8 +408,20 @@ class TestCacheBounds:
     def test_povm_tables_held_per_grid_level(self):
         # six windows of six values of c, so six (c, M) and six N
         run_sweep(replace(preset("fig3"), n_signal=32, sweep=SweepSpec(0.1, 20.0, 6)))
-        for cache in (povm._prolate_expansion, povm._block_tables, povm._band_rows):
+        for cache in (povm._block_tables, povm._band_rows):
             assert cache.cache_info().currsize <= 4
+        assert not hasattr(povm._prolate_expansion, "cache_info")
+
+    def test_gauss_rules_held_per_run(self):
+        # N, and with it the signal grid, changes from window to window, so the
+        # sweep builds far more rules than one run reads
+        build_grid.cache_clear()
+        _legendre_rule.cache_clear()
+        run_sweep(replace(preset("fig3"), n_signal=32, n_idler=32,
+                          sweep=SweepSpec(0.1, 40.0, 40)))
+        info = _legendre_rule.cache_info()
+        assert info.misses > info.maxsize == 2 * (MAX_REFINEMENTS + 1)
+        assert info.currsize <= info.maxsize
 
     def test_grid_tables_live_with_their_grid(self, monkeypatch):
         # the derivative stencil is held by the grid itself, so build_grid's
@@ -834,6 +847,12 @@ class TestScenarioValidation:
     def test_sweep_needs_a_point(self):
         with pytest.raises(ConfigError, match="at least one point"):
             SweepSpec(0.1, 2.0, 0)
+
+    def test_sweep_count_within_the_budget(self):
+        # only constructed: values() would build an array of count windows
+        assert SweepSpec(0.1, 2.0, scenarios.MAX_CELLS).count == scenarios.MAX_CELLS
+        with pytest.raises(ConfigError, match=f"at most {scenarios.MAX_CELLS}"):
+            SweepSpec(0.1, 2.0, scenarios.MAX_CELLS + 1)
 
     def test_sweep_bounds(self):
         with pytest.raises(ConfigError):
