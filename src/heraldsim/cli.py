@@ -1,4 +1,5 @@
-"""Command-line interface: run scenarios, sweeps, and paper-figure presets.
+"""Command-line interface: ``run`` a config file or a built-in ``preset``; a
+config with a ``sweep`` key prints a sweep table, one without it a report row.
 
 Exit codes: 0 success, 1 configuration error or an output path that cannot be
 written, 2 numerical failure (the failing stage is named on stderr).
@@ -56,25 +57,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "efficiency, detection efficiency, and production rates.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    run_p = subs.add_parser("run", help="evaluate one scenario from a config file")
+    run_p = subs.add_parser("run", help="evaluate a scenario or its sweep from a config file")
     run_p.add_argument("config")
     _add_common_flags(run_p)
-
-    sweep_p = subs.add_parser("sweep", help="evaluate a sweep over the detection window")
-    sweep_p.add_argument("config")
-    _add_common_flags(sweep_p)
 
     preset_p = subs.add_parser("preset", help="run a built-in worked example")
     preset_p.add_argument("name", choices=PRESET_NAMES)
     _add_common_flags(preset_p)
     return parser
-
-
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -98,8 +88,6 @@ def main(argv: list[str] | None = None) -> int:
             text = (format_sweep_json(rows) if scenario.output_format == "json"
                     else format_sweep_csv(rows))
             result = None
-        elif args.command == "sweep":
-            raise ConfigError("sweep command needs a 'sweep' key in the config")
         else:
             result = run_scenario(scenario)
             text = (format_report_json(scenario, result.report)
@@ -116,7 +104,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        _emit(text, scenario.output_path)
+        if scenario.output_path is None:
+            sys.stdout.write(text)
+        else:
+            Path(scenario.output_path).write_text(text)
         if args.dump_modes and result is None:
             print("warning: --dump-modes is ignored for sweeps", file=sys.stderr)
         elif args.dump_modes:

@@ -9,12 +9,11 @@ The heralded state rho = sum_m eta_m Phi_m Phi_m^* has rank <= M, the number
 of retained detection modes.  It is held as its M weighted amplitudes, and its
 spectrum and the pulse length tau_idl of its leading eigenmode come from an
 eigensolve of the M x M Gram matrix of those amplitudes.  The dense n_i x n_i
-matrix and the idler eigenmodes are only built when read.
+matrix and the idler eigenmodes are built on each read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -40,8 +39,8 @@ class HeraldedState:
     with its spectrum and the pulse length tau_idl that T_min reads.
 
     rho(w_i, w_i') = sum_m a_m(w_i) a_m^*(w_i') for the rows a_m of
-    ``amplitudes``; ``rho`` builds that dense matrix on each read, and
-    ``eigenmodes`` builds every idler eigenmode on its first read.
+    ``amplitudes``; ``rho`` builds that dense matrix, and ``eigenmodes`` every
+    idler eigenmode, on each read.
     ``click_weight`` is sum_m eta_m ||Phi_m||^2 under the grid quadrature, the
     trace of the unnormalized state times 2pi: D_s is click_weight over
     2pi times the full joint-amplitude norm, and H is lam[0].
@@ -64,31 +63,15 @@ class HeraldedState:
         """(n_i, n_i) density matrix, unit trace under (1/2pi) grid quadrature."""
         return self.amplitudes.T @ self.amplitudes.conj()
 
-    @cached_property
+    @property
     def eigenmodes(self) -> np.ndarray:
-        """(n_i, lam.size) read-only eigenmode columns, (1/2pi)-orthonormal,
-        in the order of ``lam``, from a thin SVD of the weighted amplitudes.
-
-        Only ``--dump-modes`` reads these: each column is rotated so that its
-        first node above 1e-3 of its largest magnitude is real and positive,
-        and the dump writes each value below 1e-12 of that magnitude as 0.
-        """
+        """(n_i, lam.size) eigenmode columns, (1/2pi)-orthonormal, in the order
+        of ``lam``, from a thin SVD of the weighted amplitudes, with the SVD's
+        phases: ``scenarios.dump_mode_tables``, their one reader, sets them."""
         sw = np.sqrt(self.grid_i.weights)
         u, _, _ = np.linalg.svd((self.amplitudes * sw[None, :]).T / np.sqrt(2.0 * np.pi),
                                 full_matrices=False)
-        modes = (u / sw[:, None]) * np.sqrt(2.0 * np.pi)
-        _fix_phases(modes)
-        modes.setflags(write=False)
-        return modes
-
-
-def _fix_phases(vectors: np.ndarray) -> None:
-    """Rotate each column in place so that its first entry above 1e-3 of its
-    largest magnitude, which rounding moves by about 1e-13, is real and positive."""
-    mags = np.abs(vectors)
-    first = np.argmax(mags > 1e-3 * mags.max(axis=0), axis=0)
-    ref = vectors[first, np.arange(first.size)]
-    vectors *= ref.conj() / np.abs(ref)
+        return (u / sw[:, None]) * np.sqrt(2.0 * np.pi)
 
 
 @dataclass(frozen=True)

@@ -641,9 +641,11 @@ def _write_table(path: Path, header: str, columns: list[np.ndarray]) -> None:
 
 def dump_mode_tables(result: PipelineResult, directory: str | Path) -> None:
     """Write (omega, phi_m) and (omega_i, eigenmode_n) sample tables of the
-    first DUMP_MODES modes for external plotting.  Each value below DUMP_FLOOR
-    of its mode's largest magnitude is written as 0, so no rounding-level
-    change rewrites a cell where a mode vanishes."""
+    first DUMP_MODES modes for external plotting.  Each idler eigenmode is
+    turned so that its first node above 1e-3 of its largest magnitude, which
+    rounding moves by about 1e-13, is real and positive.  Each value below
+    DUMP_FLOOR of its mode's largest magnitude is written as 0, so no
+    rounding-level change rewrites a cell where a mode vanishes."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
@@ -654,6 +656,9 @@ def dump_mode_tables(result: PipelineResult, directory: str | Path) -> None:
                  [result.modes.grid_s.nodes, *phi])
 
     e = result.state.eigenmodes[:, :DUMP_MODES]
+    mags = np.abs(e)
+    ref = e[np.argmax(mags > 1e-3 * mags.max(axis=0), axis=0), np.arange(e.shape[1])]
+    e = e * (ref.conj() / np.abs(ref))
     parts = np.stack((e.real, e.imag), axis=2)  # re, im of each mode, side by side
     parts[np.abs(parts) < DUMP_FLOOR * np.abs(e).max(axis=0)[:, None]] = 0.0
     header = "omega_i," + ",".join(

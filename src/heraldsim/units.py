@@ -32,8 +32,8 @@ class PhysicalSource:
             if not (1000.0 < wl < 2000.0):
                 raise ValueError(f"{name} = {wl} nm outside the (1000, 2000) nm guard range")
         for name in ("pump_bandwidth_fwhm_nm", "filter_bandwidth_nm", "fiber_length_m"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not (np.isfinite(self.beta2) and np.isfinite(self.beta3)):
             raise ValueError("beta2 and beta3 must be finite")
 

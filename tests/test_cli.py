@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
@@ -76,7 +77,7 @@ class TestRunCommand:
     def test_infinite_sweep_bound_is_one_line_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "inf.cfg"
         cfg.write_text(FIG3_CFG + "sweep = T 0.1 inf 3\n")
-        assert cli.main(["sweep", str(cfg)]) == 1
+        assert cli.main(["run", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
@@ -107,6 +108,16 @@ class TestRunCommand:
         assert out == ""
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    def test_non_finite_fiber_length_is_one_line_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "fiber.cfg"
+        keys = {**PRESETS["fig5-180ps"], "fiber_length_m": "nan"}
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        assert cli.main(["run", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "fiber_length_m" in err
+
     def test_numerical_failure_exit_code(self, fig3_config, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise StageError("density-matrix", ValueError("synthetic failure"))
@@ -133,7 +144,7 @@ class TestRunCommand:
     def test_jsa_failure_exit_code(self, failing_jsa, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(FIG3_CFG + "sweep = T 0.2 0.6 3\n")
-        assert cli.main(["sweep", str(cfg)]) == 2
+        assert cli.main(["run", str(cfg)]) == 2
         assert "numerical failure in jsa" in capsys.readouterr().err
 
     def test_detection_mode_failure_is_tagged(self, monkeypatch):
@@ -236,17 +247,26 @@ class TestSweepCommand:
     def test_sweep_csv(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(FIG3_CFG + "sweep = T 0.2 0.6 3\n")
-        assert cli.main(["sweep", str(cfg)]) == 0
+        assert cli.main(["run", str(cfg)]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "T,c,H,D_s,T_min,R_abs"
         assert len(lines) == 4
         ts = [float(line.split(",")[0]) for line in lines[1:]]
         assert ts == sorted(ts)
 
-    def test_sweep_without_spec_fails(self, tmp_path, capsys):
+    def test_the_sweep_key_alone_picks_the_table(self, tmp_path, capsys):
+        # run prints a report row without the key and a sweep table with it,
+        # as preset does; there is no sweep command
         cfg = tmp_path / "nosweep.cfg"
         cfg.write_text(FIG3_CFG)
-        assert cli.main(["sweep", str(cfg)]) == 1
+        assert cli.main(["run", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("name,sigma,")
+        cfg.write_text(FIG3_CFG + "sweep = T 0.2 0.6 3\n")
+        assert cli.main(["run", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith(",".join(SWEEP_COLUMNS) + "\n")
+        with pytest.raises(SystemExit) as info:
+            cli.main(["sweep", str(cfg)])
+        assert info.value.code == 2
 
     def test_unresolved_points_warn_one_line_each(self, tmp_path, capsys):
         cfg = tmp_path / "coarse.cfg"
@@ -254,7 +274,7 @@ class TestSweepCommand:
         rows = run_sweep(replace(preset("fig3"), n_signal=8, n_idler=8,
                                  sweep=SweepSpec(0.5, 1.0, 2)))
         assert not any(report.resolved for _, _, report in rows)
-        assert cli.main(["sweep", str(cfg)]) == 0
+        assert cli.main(["run", str(cfg)]) == 0
         captured = capsys.readouterr()
         # stdout holds every row, as for resolved points, and the exit code is 0
         assert captured.out == format_sweep_csv(rows)
@@ -382,8 +402,8 @@ class TestPresetCommand:
 
 
 def test_readme_flag_table_lists_the_parser_options():
-    """README's table of common flags names every option of run, sweep and
-    preset, each with the config key that its argparse dest sets, and gives
+    """README's table of common flags names every option of run and preset,
+    each with the config key that its argparse dest sets, and gives
     the default grid sizes."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme[readme.index("| flag | config key | meaning |"):].split("\n\n", 1)[0]
@@ -402,12 +422,29 @@ def test_readme_flag_table_lists_the_parser_options():
 
     subparsers = next(a for a in cli.build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
-    for command in ("run", "sweep", "preset"):
+    assert set(subparsers.choices) == {"run", "preset"}
+    for command in ("run", "preset"):
         dests = {opt: action.dest for action in subparsers.choices[command]._actions
                  for opt in action.option_strings if opt not in ("-h", "--help")}
         assert set(dests) == set(rows), command
         for flag, dest in dests.items():
             assert rows[flag] == ("—" if flag == "--dump-modes" else dest), flag
+
+
+def test_readme_commands_parse():
+    """Every ``heraldsim`` line of README's sh blocks, without its trailing
+    comment, is a command that the parser accepts."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [shlex.split(line, comments=True) for block in blocks
+             for line in block.splitlines() if line.startswith("heraldsim ")]
+    assert len(lines) >= 5
+    parser = cli.build_parser()
+    for words in lines:
+        try:
+            parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {' '.join(words)}")
 
 
 def test_runs_without_scipy(tmp_path):

@@ -102,6 +102,10 @@ class TestPhysicalSourceGuards:
             fiber(filter_bandwidth_nm=0.0)
         with pytest.raises(ValueError):
             fiber(fiber_length_m=-1.0)
+        for key in ("pump_bandwidth_fwhm_nm", "filter_bandwidth_nm", "fiber_length_m"):
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError, match=f"^{key} must be positive and finite$"):
+                    fiber(**{key: bad})
 
     def test_finite_dispersion(self):
         with pytest.raises(ValueError):
