@@ -94,6 +94,10 @@ def collapsed_wavefunctions(jsa_band: JsaField, modes: DetectionModeSet) -> np.n
     """Idler amplitudes conditioned on a click in each detection mode.
 
     Phi_m(w_i) = integral over the filter band of phi_m(w_s) Phi(w_s, w_i) dw_s.
+    Each mode is a Legendre series, phi_m = sum_k coef[k, m] Pbar_k(2w_s/B),
+    so Phi_m = sum_k coef[k, m] C_k with C the band field's signal-axis
+    Legendre moments (``JsaField.signal_moments``), which the field holds for
+    every window that reads it: no mode is evaluated on the grid.
     Returns an (M, n_i) array on jsa_band.grid_i.  The two signal grids must
     have the same nodes exactly, as two build_grid calls on the same band and
     size give: a tolerance would be absolute at some scale and pass grids of
@@ -102,7 +106,7 @@ def collapsed_wavefunctions(jsa_band: JsaField, modes: DetectionModeSet) -> np.n
     gs = jsa_band.grid_s
     if gs is not modes.grid_s and not np.array_equal(gs.nodes, modes.grid_s.nodes):
         raise ValueError("signal grid of the joint amplitude must match the mode grid")
-    return (modes.modes * gs.weights[None, :]) @ jsa_band.values
+    return modes.coef.T @ jsa_band.signal_moments(modes.coef.shape[0])
 
 
 def idler_density_matrix(

@@ -9,16 +9,17 @@ Both factors depend on the frequencies only through w_s + w_i and
 mu_s w_s + mu_i w_i, so the amplitude at (-w_s, -w_i) is the one at
 (w_s, w_i), complex-conjugated when the phase is on.  On grids that are mirror
 images of themselves (nodes equal to -nodes reversed, as every grid centred on
-0 is) the sampled field is therefore evaluated on half the signal rows.
+0 is) the sampled field is therefore evaluated on half the signal rows, and
+its signal-axis Legendre moments are summed over half the idler columns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .numerics import FrequencyGrid, abs_squared, float_or_complex, sinc
+from .numerics import FrequencyGrid, abs_squared, float_or_complex, legendre_vander, sinc
 
 # exp(x) squared is a normal float (at least tiny, about 2.2e-308) for x at or
 # above this floor, half of ln(tiny) (about -354.20); pump exponents below it
@@ -57,11 +58,20 @@ class SourceParams:
 @dataclass(frozen=True)
 class JsaField:
     """Joint amplitude sampled on the tensor grid grid_s x grid_i: float64
-    when the values are real, complex128 otherwise."""
+    when the values are real, complex128 otherwise.
+
+    ``centrosymmetric`` states that values[::-1, ::-1] equals values,
+    conjugated when complex, on a signal grid whose nodes and weights are
+    their own mirror image about 0; ``sample_jsa`` sets it where it builds
+    the field so.  The field holds the signal-axis Legendre moments that
+    ``signal_moments`` has built, so they live and die with the field.
+    """
 
     grid_s: FrequencyGrid
     grid_i: FrequencyGrid
     values: np.ndarray  # shape (n_s, n_i)
+    centrosymmetric: bool = False
+    _moments: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = float_or_complex(self.values)
@@ -74,6 +84,61 @@ class JsaField:
             )
         if not np.all(np.isfinite(values.view(float))):
             raise ValueError("joint amplitude contains non-finite values")
+        object.__setattr__(self, "_moments", np.empty((0, self.grid_i.n), values.dtype))
+
+    def signal_moments(self, n_terms: int) -> np.ndarray:
+        """The read-only n_terms x n_i signal-axis Legendre moments
+        C_k(w_i) = sum_s w_s Pbar_k(x_s) Phi(w_s, w_i), k < n_terms, with
+        x_s = 2 w_s / (hi - lo) the node of a band grid centred on 0 scaled
+        to [-1, 1]: what ``herald.collapsed_wavefunctions`` reads the
+        detection modes' Legendre series against.
+
+        Each moment row is built once: a call for more rows than the field
+        holds sums only the missing degrees and keeps them after the held
+        ones, and a call for fewer reads the held rows.  On a signal grid
+        whose nodes and weights are their own mirror image,
+        Pbar_k(-x) = (-1)^k Pbar_k(x) folds the sum onto the upper half of
+        the nodes: the even degrees sum the field's rows plus their mirror
+        rows, the odd degrees the difference.  On a centrosymmetric field,
+        C_k(-w_i) = (-1)^k C_k(w_i), conjugated when complex, so only the
+        first ceil(n_i / 2) idler columns are summed, and the rest are their
+        mirror image.
+        """
+        held = self._moments
+        first = len(held)
+        if n_terms <= first:
+            return held[:n_terms]
+        grid, v = self.grid_s, self.values
+        n_s, n_i = v.shape
+        x, w = grid.nodes * (2.0 / (grid.hi - grid.lo)), grid.weights
+        cols = (n_i + 1) // 2 if self.centrosymmetric else n_i
+        moments = np.empty((n_terms, n_i), dtype=v.dtype)
+        moments[:first] = held
+        rows = moments[first:]
+        if np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]):
+            half = n_s // 2  # the upper half starts at the centre node of an odd grid
+            table = legendre_vander(x[half:], n_terms, first)
+            table *= w[half:]
+            if n_s % 2:
+                table[:, 0] *= 0.5  # the centre row is in both halves of the sums
+            upper, lower = v[half:, :cols], v[n_s - 1 - half::-1, :cols]
+            folded = np.empty(upper.shape, v.dtype)
+            # row r holds degree first + r, so rows first % 2, +2, ... are the even degrees
+            for r, fold in ((first % 2, np.add), (1 - first % 2, np.subtract)):
+                fold(upper, lower, out=folded)
+                np.matmul(table[r::2], folded, out=rows[r::2, :cols])
+        else:
+            table = legendre_vander(x, n_terms, first)
+            table *= w
+            np.matmul(table, v[:, :cols], out=rows[:, :cols])
+        if cols < n_i:
+            mirrored = rows[:, cols:]
+            np.conjugate(rows[:, n_i // 2 - 1::-1], out=mirrored)
+            odd = mirrored[1 - first % 2::2]
+            np.negative(odd, out=odd)
+        moments.setflags(write=False)
+        object.__setattr__(self, "_moments", moments)
+        return moments
 
 
 def jsa_amplitude(p: SourceParams, w_s, w_i):
@@ -104,7 +169,9 @@ def sample_jsa(p: SourceParams, grid_s: FrequencyGrid, grid_i: FrequencyGrid) ->
     ceil(n_s/2) signal rows are evaluated: signal row n_s - 1 - r is row r
     reversed along the idler axis, conjugated when the phase is on.  With the
     phase off this is bitwise the direct evaluation: negating a node is exact
-    and np.sin is odd.
+    and np.sin is odd.  Such a field is marked ``centrosymmetric`` when its
+    signal weights are mirrored too, as every Gauss rule's are, which halves
+    the work of its Legendre moments.
     """
     w_s, w_i = grid_s.nodes, grid_i.nodes
     n_s = w_s.size
@@ -115,7 +182,9 @@ def sample_jsa(p: SourceParams, grid_s: FrequencyGrid, grid_i: FrequencyGrid) ->
     if p.include_group_delay_phase:
         tail = tail.conj()
     values = np.concatenate((head, tail))
-    return JsaField(grid_s=grid_s, grid_i=grid_i, values=values)
+    centrosymmetric = mirrored and np.array_equal(grid_s.weights, grid_s.weights[::-1])
+    return JsaField(grid_s=grid_s, grid_i=grid_i, values=values,
+                    centrosymmetric=centrosymmetric)
 
 
 def separable_jsa(

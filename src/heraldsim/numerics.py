@@ -127,11 +127,13 @@ def _legendre_rows(x: np.ndarray, n: int, first: int) -> np.ndarray:
     return rows
 
 
-def legendre_vander(x: np.ndarray, n_terms: int) -> np.ndarray:
-    """The n_terms x x.size matrix of normalized Legendre polynomials
-    Pbar_k(x) = sqrt(k + 1/2) P_k(x), k < n_terms, unit norm on [-1, 1]."""
-    rows = _legendre_rows(np.asarray(x, dtype=float), n_terms - 1, 0)
-    rows *= np.sqrt(np.arange(n_terms) + 0.5)[:, None]
+def legendre_vander(x: np.ndarray, n_terms: int, first: int = 0) -> np.ndarray:
+    """The (n_terms - first) x x.size matrix of normalized Legendre
+    polynomials Pbar_k(x) = sqrt(k + 1/2) P_k(x), first <= k < n_terms, unit
+    norm on [-1, 1]: the rows of the full matrix from degree ``first`` on,
+    bitwise."""
+    rows = _legendre_rows(np.asarray(x, dtype=float), n_terms - 1, first)
+    rows *= np.sqrt(np.arange(first, n_terms) + 0.5)[:, None]
     return rows
 
 

@@ -13,9 +13,11 @@ normalized Legendre basis sqrt(k + 1/2) P_k that operator couples only the
 terms k and k +- 2, so it splits into an even-k and an odd-k symmetric
 tridiagonal matrix whose order depends on c and the number of modes, not on
 the grid.  The kernel eigenvalues follow in closed form from the expansion
-coefficients (Xiao, Rokhlin & Yarvin, Inverse Problems 17, 805 (2001)), and the
-modes are polynomials evaluated on the Gauss-Legendre band grid, so one
-solve serves a grid of any size.
+coefficients (Xiao, Rokhlin & Yarvin, Inverse Problems 17, 805 (2001)).  A
+mode set holds the expansion coefficients, so one solve serves a grid of any
+size: the collapse reads them against the band field's Legendre moments
+(``jsa.JsaField.signal_moments``), and the modes are evaluated on the
+Gauss-Legendre band grid only when read.
 
 Each mode is real up to a sign, fixed in the expansion by Slepian's rule:
 psi_n(0) > 0 for even n and psi_n'(0) > 0 for odd n.  Those values are at
@@ -62,22 +64,33 @@ class DetectorParams:
 class DetectionModeSet:
     """Top detection modes phi_m on the filter band with eigenvalues chi_m.
 
-    Modes are normalized so (1/2pi) integral phi_m phi_n dw = delta_mn.
-    chi holds the M retained eigenvalues (descending); chi_all is the spectrum
-    of the Legendre expansion, its N values (``legendre_terms``) summing to
-    the operator trace 2c/pi.  It does not depend on the grid.
+    Each mode is the series phi_m(w) = sum_k coef[k, m] Pbar_k(2w/B), k < N,
+    normalized so (1/2pi) integral phi_m phi_n dw = delta_mn; the set holds
+    the coefficients, and ``modes`` evaluates the series at the nodes of
+    ``grid_s`` only when read.  chi holds the M retained eigenvalues
+    (descending); chi_all is the spectrum of the Legendre expansion, its N
+    values (``legendre_terms``) summing to the operator trace 2c/pi.
+    Neither depends on the grid.
     """
 
     grid_s: FrequencyGrid
-    modes: np.ndarray  # shape (M, n_grid)
+    coef: np.ndarray  # shape (N, M)
     chi: np.ndarray
     chi_all: np.ndarray
 
     def __post_init__(self):
-        for name in ("modes", "chi", "chi_all"):
+        for name in ("coef", "chi", "chi_all"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def modes(self) -> np.ndarray:
+        """(M, n_grid) mode values at the nodes of ``grid_s``, evaluated anew
+        on each read."""
+        grid = self.grid_s
+        x = grid.nodes * (2.0 / (grid.hi - grid.lo))
+        return self.coef.T @ legendre_vander(x, self.coef.shape[0])
 
 
 def legendre_terms(c: float, m_modes: int) -> int:
@@ -88,13 +101,10 @@ def legendre_terms(c: float, m_modes: int) -> int:
     return n + n % 2
 
 
-# The two table caches below hold 4 tables each; a run reads one of each.
-# fig4's windows of one N share the block tables and the band rows (12 hits
-# in 17).  Bound 4 keeps the five presets' four keys; at bound 1, fig5-180ps
-# after fig3 builds its band rows in freshly faulted pages (161 minor faults
-# against 2, about 0.2 ms).  A larger bound keeps past windows' tables, which
-# no later window reads.  The prolate solve depends on c, which a run's one
-# window fixes, so it is not kept.
+# The block tables of 4 values of N are kept; a run reads one.  fig4's
+# windows of one N share them (12 hits in 17), and bound 4 keeps the five
+# presets' four N.  The prolate solve depends on c, which a run's one window
+# fixes, so it is not kept.
 @lru_cache(maxsize=4)
 def _block_tables(n_terms: int) -> tuple[np.ndarray, ...]:
     """The parts of the two parity blocks of the prolate operator on n_terms
@@ -165,27 +175,14 @@ def _prolate_expansion(c: float, m_modes: int) -> tuple[np.ndarray, np.ndarray]:
     return coef, chi
 
 
-@lru_cache(maxsize=4)
-def _band_rows(B: float, n_grid: int, n_terms: int) -> np.ndarray:
-    """The read-only n_terms x n_grid normalized Legendre rows Pbar_k(2w/B),
-    k < n_terms, at the nodes of ``build_grid(-B/2, B/2, n_grid)``: what
-    ``detection_modes`` evaluates the mode expansions on, built once per
-    (B, n_grid, n_terms).  The tables of the last 4 keys are kept, of
-    8 n_terms n_grid bytes each."""
-    grid = build_grid(-0.5 * B, 0.5 * B, n_grid)
-    rows = legendre_vander(grid.nodes * (2.0 / (grid.hi - grid.lo)), n_terms)
-    rows.setflags(write=False)
-    return rows
-
-
 def detection_modes(d: DetectorParams, n_grid: int, m_modes: int) -> DetectionModeSet:
     """Eigenmodes and eigenvalues of the band-limiting/time-windowing operator.
 
-    Returns the top ``m_modes`` eigenpairs, the modes sampled on an
-    ``n_grid``-node Gauss-Legendre grid over [-B/2, B/2], and as ``chi_all``
-    the expansion spectrum: its N values sum to 2c/pi.  Each mode carries
-    Slepian's sign, psi_n(0) > 0 for even n and psi_n'(0) > 0 for odd n, set
-    in the expansion, so no grid changes it.
+    Returns the top ``m_modes`` eigenpairs, as the Legendre coefficients of
+    each mode on the ``n_grid``-node Gauss-Legendre grid over [-B/2, B/2],
+    and as ``chi_all`` the expansion spectrum: its N values sum to 2c/pi.
+    Each mode carries Slepian's sign, psi_n(0) > 0 for even n and
+    psi_n'(0) > 0 for odd n, set in the expansion, so no grid changes it.
 
     The Legendre coefficients and eigenvalues depend only on c and m_modes
     (``_prolate_expansion``); the grid only enters where the polynomials are
@@ -193,18 +190,16 @@ def detection_modes(d: DetectorParams, n_grid: int, m_modes: int) -> DetectionMo
     N = ``legendre_terms(c, m_modes)`` nodes on, where the pipeline starts, the
     Gauss rule integrates the modes' products exactly.  The grid is the one
     ``build_grid`` caches, so it is the grid a joint amplitude sampled on the
-    same band and size was sampled on, and the rows at its nodes are built
-    once per N (``_band_rows``).
+    same band and size was sampled on.
     """
     if m_modes < 1:
         raise ValueError(f"need at least one mode, got {m_modes}")
 
     coef, chi = _prolate_expansion(d.c, m_modes)
     # unit-norm psi on [-1, 1] becomes (1/2pi) integral phi^2 dw = 1 on the band
-    coef = coef * np.sqrt(4.0 * np.pi / d.B)
+    coef *= np.sqrt(4.0 * np.pi / d.B)
     grid = build_grid(-0.5 * d.B, 0.5 * d.B, n_grid)
-    phi = coef.T @ _band_rows(d.B, n_grid, chi.size)
-    return DetectionModeSet(grid_s=grid, modes=phi, chi=chi[:m_modes], chi_all=chi)
+    return DetectionModeSet(grid_s=grid, coef=coef, chi=chi[:m_modes], chi_all=chi)
 
 
 def povm_weights(modes: DetectionModeSet, eta: float) -> np.ndarray:

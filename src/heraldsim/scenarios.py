@@ -60,8 +60,10 @@ CHOP_TOL = 1e-6
 # The most float64 entries any one array of a grid level may hold: 2**24
 # entries are 128 MB, and a field with the group-delay phase is complex, so
 # 256 MB.  The arrays a level builds are its joint amplitude fields, n_s x n_i
-# each, the N x n_s Legendre rows of its detection modes, and on each grid
-# axis of n nodes the n // 8 x n tail rows of the Gauss-Legendre rule
+# each, the band field's signal-axis Legendre moments, N x n_i <= n_s x n_i,
+# the N x n_s Legendre rows at the signal nodes that build those moments and
+# evaluate the detection modes for a dump, and on each grid axis of n nodes
+# the n // 8 x n tail rows of the Gauss-Legendre rule
 # (numerics._legendre_rule).  N <= n_s, so the rows keep N <= 4096, which
 # bounds the two N/2 x N/2 prolate blocks and the M x M Gram matrix.  Sampling
 # a level holds a few such arrays at once: fig3 at n_s = n_i = 4096 peaks at
@@ -210,7 +212,8 @@ def _mode_terms(c: float, m_modes: Optional[int]) -> tuple[int, int]:
 
 def _level_cells(n_signal: int, n_idler: int, n_terms: int) -> int:
     """Entries of the largest array of the grid level whose signal grid has
-    n_s = max(n_signal, N) nodes (``MAX_CELLS``)."""
+    n_s = max(n_signal, N) nodes (``MAX_CELLS``); the moments, N x n_i, are
+    no larger than the n_s x n_i fields."""
     n_s = max(n_signal, n_terms)
     return max(n_s * n_idler, n_terms * n_s, n_s * (n_s // 8), n_idler * (n_idler // 8))
 
@@ -225,7 +228,10 @@ class SourceSamples:
     tau_sig is PULSE_LENGTH_FACTOR times the RMS time width of the band
     marginal sqrt(integral |jsa_band|^2 dw_i).  ``sample_source`` holds one
     of these per refinement step of the last source, so the windows over one
-    source that share a signal grid share them.
+    source that share a signal grid share them.  The band field holds its
+    signal-axis Legendre moments (``JsaField.signal_moments``), which every
+    window's collapse reads: the first window builds the rows of its N, and a
+    window of a larger N adds only the rows it lacks.
     """
 
     jsa_band: JsaField  # band grid x idler grid
@@ -281,15 +287,13 @@ def sample_source(source: SourceParams, B: float, n_s: int, n_i: int) -> SourceS
     return samples
 
 
-def _sample_level(source: SourceParams, detector: DetectorParams, n_signal: int,
-                  n_idler: int, m_modes: Optional[int]) -> tuple[int, SourceSamples]:
-    """The mode count M and the source samples of one grid level
-    (``_mode_terms``); the signal grid has max(n_signal, N) nodes, so it
+def _sample_level(source: SourceParams, B: float, n_signal: int, n_idler: int,
+                  n_terms: int) -> SourceSamples:
+    """The source samples of one grid level for modes of N = ``n_terms``
+    Legendre terms: the signal grid has max(n_signal, N) nodes, so it
     integrates the modes' products exactly."""
-    m, n_terms = _mode_terms(detector.c, m_modes)
-    n_s = max(n_signal, n_terms)
     with _stage("jsa"):
-        return m, sample_source(source, detector.B, n_s, n_idler)
+        return sample_source(source, B, max(n_signal, n_terms), n_idler)
 
 
 def evaluate_pipeline(
@@ -300,17 +304,22 @@ def evaluate_pipeline(
     m_modes: Optional[int] = None,
     pair_probability_target: Optional[float] = None,
     external_efficiency: Optional[float] = None,
+    *,
+    samples: Optional[SourceSamples] = None,
 ) -> PipelineResult:
     """Run the full chain grids -> JSA -> modes -> collapse -> rho -> metrics
     on one grid level.
 
     The source is sampled first (``_sample_level``, which sizes the signal
-    grid to the modes' expansion); the detection modes are then evaluated
-    on the same band grid, which ``build_grid`` shares.  Only the modes, and
-    the stages after them, depend on the window T, and the modes only through
-    c and N.
+    grid to the modes' expansion), unless the caller passes the level's
+    ``samples``, as ``run_scenario``'s walk does with the level it chose.
+    The detection modes are then set on the same band grid, which
+    ``build_grid`` shares.  Only the modes, and the stages after them, depend
+    on the window T, and the modes only through c and N.
     """
-    m, samples = _sample_level(source, detector, n_signal, n_idler, m_modes)
+    m, n_terms = _mode_terms(detector.c, m_modes)
+    if samples is None:
+        samples = _sample_level(source, detector.B, n_signal, n_idler, n_terms)
     jsa_band, norm_full = samples.jsa_band, samples.norm_full
     grid_i = jsa_band.grid_i
     n_s = jsa_band.grid_s.n
@@ -341,7 +350,7 @@ def evaluate_pipeline(
     report = MetricsReport(p_pair=p_pair, p_s=p_s, d_s=d_s, h=h, t_min=tmin, r_abs=r_abs,
                            resolved=samples.resolved, practical_rate=practical)
     return PipelineResult(report=report, modes=modes, state=state, n_signal=n_s,
-                          n_idler=n_idler)
+                          n_idler=grid_i.n)
 
 
 def run_scenario(s: Scenario, refine: bool = True) -> PipelineResult:
@@ -351,21 +360,23 @@ def run_scenario(s: Scenario, refine: bool = True) -> PipelineResult:
     on its source samples: its joint amplitude fields leave at most CHOP_TOL
     of their weight in their top Legendre degrees (``SourceSamples.resolved``).
     So the levels are sampled, at most MAX_REFINEMENTS doublings, until one
-    is resolved, and only that level is evaluated.  The walk stops before a
-    level with an array of more than ``MAX_CELLS`` entries (``Scenario``
-    checks that the first level fits); when no level it samples is resolved,
-    the last is evaluated, with ``report.resolved`` False.  With ``refine``
-    False the first level is evaluated, resolved or not."""
+    is resolved, and only that level is evaluated, from the samples the walk
+    read.  The walk stops before a level with an array of more than
+    ``MAX_CELLS`` entries (``Scenario`` checks that the first level fits);
+    when no level it samples is resolved, the last is evaluated, with
+    ``report.resolved`` False.  With ``refine`` False the first level is
+    evaluated, resolved or not."""
     n_s, n_i = s.n_signal, s.n_idler
-    n_terms = _mode_terms(s.detector.c, s.m_modes)[1]
+    m, n_terms = _mode_terms(s.detector.c, s.m_modes)
+    samples = _sample_level(s.source, s.detector.B, n_s, n_i, n_terms)
     for _ in range(MAX_REFINEMENTS if refine else 0):
-        if (_sample_level(s.source, s.detector, n_s, n_i, s.m_modes)[1].resolved
-                or _level_cells(2 * n_s, 2 * n_i, n_terms) > MAX_CELLS):
+        if samples.resolved or _level_cells(2 * n_s, 2 * n_i, n_terms) > MAX_CELLS:
             break
         n_s, n_i = 2 * n_s, 2 * n_i
-    return evaluate_pipeline(s.source, s.detector, n_signal=n_s, n_idler=n_i,
-                             m_modes=s.m_modes, pair_probability_target=s.pair_probability,
-                             external_efficiency=s.external_efficiency)
+        samples = _sample_level(s.source, s.detector.B, n_s, n_i, n_terms)
+    return evaluate_pipeline(s.source, s.detector, n_signal=n_s, n_idler=n_i, m_modes=m,
+                             pair_probability_target=s.pair_probability,
+                             external_efficiency=s.external_efficiency, samples=samples)
 
 
 def run_sweep(s: Scenario) -> list[tuple[float, float, MetricsReport]]:
@@ -375,17 +386,19 @@ def run_sweep(s: Scenario) -> list[tuple[float, float, MetricsReport]]:
     source's levels, one per refinement step, so the source is sampled, and
     tau_sig read, once per grid level for all the windows that share a signal
     grid.  A window whose N exceeds n_signal has a grid of its own, and its
-    level replaces the last window's.  The band's Legendre rows depend on T
-    only through N, and ``povm`` caches them per N and grid level; it caches
-    the parts of the prolate blocks that do not depend on c per N.
+    level replaces the last window's.  The band field's Legendre moments
+    depend on T only through N, and the level holds them, grown to the
+    largest N read; ``povm`` caches the parts of the prolate blocks that do
+    not depend on c per N.
     """
     if s.sweep is None:
         raise ConfigError("scenario has no sweep definition")
     rows = []
     for t_value in s.sweep.values():
         detector = replace(s.detector, T=float(t_value))
-        result = run_scenario(replace(s, detector=detector, sweep=None))
-        rows.append((float(t_value), detector.c, result.report))
+        # only the report is kept, so no window's modes or state outlive it
+        report = run_scenario(replace(s, detector=detector, sweep=None)).report
+        rows.append((float(t_value), detector.c, report))
     return rows
 
 

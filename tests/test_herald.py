@@ -12,8 +12,9 @@ from heraldsim.herald import (
     practical_rate,
     t_min,
 )
-from heraldsim.jsa import SourceParams, jsa_norm, sample_jsa, separable_jsa
-from heraldsim.numerics import build_grid, rms_time_width
+from heraldsim import jsa
+from heraldsim.jsa import JsaField, SourceParams, jsa_norm, sample_jsa, separable_jsa
+from heraldsim.numerics import FrequencyGrid, build_grid, legendre_vander, rms_time_width
 from heraldsim.povm import DetectorParams, detection_modes, povm_weights
 from heraldsim import scenarios
 from heraldsim.scenarios import Scenario, evaluate_pipeline, preset, run_scenario
@@ -611,6 +612,98 @@ class TestPipelineInvariants:
         collapsed = collapsed_wavefunctions(field, modes)
         weighted = modes.chi * (np.abs(collapsed) ** 2 @ grid_i.weights)
         assert result.report.h >= weighted.max() / weighted.sum() - 1e-12
+
+
+def assert_grid_collapse(field, modes):
+    """The moment collapse equals the collapse through the modes sampled on
+    the signal grid, to 1e-14 of the largest amplitude."""
+    want = (modes.modes * field.grid_s.weights) @ field.values
+    got = collapsed_wavefunctions(field, modes)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+class TestMomentCollapse:
+    """``collapsed_wavefunctions`` reads the band field's Legendre moments,
+    summed over half the idler nodes on a centrosymmetric field; the grid
+    collapse it replaced is the reference."""
+
+    @pytest.mark.parametrize("phase", [False, True])
+    @pytest.mark.parametrize("name", [n for n in scenarios.PRESETS
+                                      if "sweep" not in scenarios.PRESETS[n]])
+    def test_presets(self, name, phase):
+        s = preset(name)
+        s = replace(s, source=replace(s.source, include_group_delay_phase=phase))
+        result = run_scenario(s)
+        band = scenarios.sample_source(s.source, s.detector.B, result.n_signal,
+                                       result.n_idler).jsa_band
+        assert band.centrosymmetric
+        assert_grid_collapse(band, result.modes)
+
+    @pytest.mark.parametrize("phase", [False, True])
+    def test_odd_grids(self, phase):
+        # the centre row and column of an odd grid are their own mirror images
+        d = DetectorParams(B=2 * np.pi, T=0.5)
+        modes = detection_modes(d, 63, 12)
+        source = SourceParams(sigma=1.0, mu_s=2.0, mu_i=-1.0, include_group_delay_phase=phase)
+        field = sample_jsa(source, modes.grid_s, build_grid(-12.0, 12.0, 97))
+        assert field.centrosymmetric
+        assert_grid_collapse(field, modes)
+
+    def test_field_without_point_symmetry(self, band_modes, idler_grid):
+        field = separable_jsa(gaussian(1.3, 0.4), gaussian(0.8, -0.7),
+                              band_modes.grid_s, idler_grid)
+        assert not field.centrosymmetric
+        assert_grid_collapse(field, band_modes)
+
+    @given(params=SOURCES, phase=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_drawn_sources(self, params, phase):
+        sigma, mu_s, mu_i, B, T = params
+        d = DetectorParams(B=B, T=T)
+        modes = detection_modes(d, 256, scenarios.auto_mode_count(d.c))
+        source = SourceParams(sigma=sigma, mu_s=mu_s, mu_i=mu_i,
+                              include_group_delay_phase=phase)
+        field = sample_jsa(source, modes.grid_s, build_grid(-0.5 * B - 6 * sigma,
+                                                            0.5 * B + 6 * sigma, 96))
+        assume(np.any(field.values != 0))
+        assert_grid_collapse(field, modes)
+
+    @pytest.mark.parametrize("phase", [False, True])
+    @pytest.mark.parametrize("n_s, n_i", [(64, 96), (63, 97)])
+    def test_moments_grow_to_the_direct_sum(self, monkeypatch, phase, n_s, n_i):
+        built = []
+        real = jsa.legendre_vander
+
+        def counting(x, n_terms, first=0):
+            built.append((first, n_terms))
+            return real(x, n_terms, first)
+
+        monkeypatch.setattr(jsa, "legendre_vander", counting)
+        source = SourceParams(sigma=1.0, mu_s=2.0, mu_i=-1.0, include_group_delay_phase=phase)
+        band, idler = build_grid(-np.pi, np.pi, n_s), build_grid(-8.0, 8.0, n_i)
+        uneven = FrequencyGrid(nodes=band.nodes, lo=band.lo, hi=band.hi,
+                               weights=band.weights * np.linspace(0.5, 1.5, n_s))
+        fields = [
+            sample_jsa(source, band, idler),  # both folds
+            separable_jsa(gaussian(1.3, 0.4), gaussian(0.8, -0.7), band, idler),  # signal fold
+            JsaField(grid_s=uneven, grid_i=idler,
+                     values=sample_jsa(source, band, idler).values),  # neither
+        ]
+        for field in fields:
+            x = band.nodes * (2.0 / (band.hi - band.lo))
+            want = (legendre_vander(x, 60) * field.grid_s.weights) @ field.values
+            first = field.signal_moments(21)
+            # a call for rows the field holds sums nothing
+            assert np.shares_memory(field.signal_moments(8), first)
+            grown = field.signal_moments(60)
+            assert np.array_equal(grown[:21], first)
+            assert grown.dtype == want.dtype
+            assert np.max(np.abs(grown - want)) <= 1e-14 * np.max(np.abs(want))
+            with pytest.raises(ValueError, match="read-only"):
+                grown[0, 0] = 0.0
+        # each growth evaluates only the degrees it adds
+        assert built == [(0, 21), (21, 60)] * len(fields)
 
 
 def _small_c_ratio(s, c):

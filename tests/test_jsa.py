@@ -17,7 +17,7 @@ from heraldsim.jsa import (
     sample_jsa,
     separable_jsa,
 )
-from heraldsim.numerics import build_grid
+from heraldsim.numerics import FrequencyGrid, build_grid
 from heraldsim.scenarios import PRESET_NAMES, preset, support_half_widths
 
 
@@ -164,6 +164,23 @@ class TestMirroredSampling:
         cells.clear()
         sample_jsa(p, build_grid(-3.0, 2.0, n_s), build_grid(-4.0, 4.0, n_i))
         assert cells == [n_s * n_i]
+
+
+    @pytest.mark.parametrize("phase", [False, True])
+    @pytest.mark.parametrize("n_s, n_i", [(16, 24), (17, 25), (63, 97)])
+    def test_mirrored_fields_are_centrosymmetric(self, phase, n_s, n_i):
+        # what the flag states, which the Legendre moments rely on
+        p = SourceParams(sigma=1.0, mu_s=2.0, mu_i=-1.0, include_group_delay_phase=phase)
+        field = sample_jsa(p, build_grid(-3.0, 3.0, n_s), build_grid(-4.0, 4.0, n_i))
+        assert field.centrosymmetric
+        assert np.array_equal(field.values[::-1, ::-1], field.values.conj())
+        mirrored = build_grid(-3.0, 3.0, n_s)
+        uneven = FrequencyGrid(nodes=mirrored.nodes, weights=np.linspace(1.0, 2.0, n_s),
+                               lo=mirrored.lo, hi=mirrored.hi)
+        for gs, gi in ((build_grid(-3.0, 2.0, n_s), build_grid(-4.0, 4.0, n_i)),
+                       (mirrored, build_grid(-4.0, 3.0, n_i)),
+                       (uneven, build_grid(-4.0, 4.0, n_i))):
+            assert not sample_jsa(p, gs, gi).centrosymmetric
 
 
 class TestRealField:

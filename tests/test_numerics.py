@@ -232,6 +232,11 @@ class TestLegendreRecurrence:
         assert np.array_equal(legendre_vander(x, 1), np.full((1, 3), np.sqrt(0.5)))
         assert np.array_equal(legendre_vander(x, 2)[1], np.sqrt(1.5) * x)
 
+    @pytest.mark.parametrize("first", [0, 1, 2, 21, 59])
+    def test_vander_from_a_degree_is_the_tail_of_the_full_matrix(self, first):
+        x = build_grid(-np.pi, np.pi, 63).nodes * (1.0 / np.pi)
+        assert np.array_equal(legendre_vander(x, 60, first), legendre_vander(x, 60)[first:])
+
     @pytest.mark.parametrize("n", [256, 384, 768])
     def test_rule_runs_the_recurrence_three_times(self, n, monkeypatch):
         calls = []

@@ -21,8 +21,10 @@ def modes_for_c(c, n_grid=256, m_modes=12, B=2 * np.pi):
     return detection_modes(DetectorParams(B=B, T=4 * c / B), n_grid, m_modes)
 
 
-def dense_detection_modes(d, n_grid, m_modes):
-    """Reference solve of the full n x n weighted kernel, blind to parity."""
+def dense_eigenpairs(d, n_grid, m_modes):
+    """Reference solve of the full n x n weighted kernel, blind to parity: the
+    band grid, the n eigenvalues, descending, and the top m_modes modes at
+    its nodes."""
     grid = build_grid(-0.5 * d.B, 0.5 * d.B, n_grid)
     dw = grid.nodes[:, None] - grid.nodes[None, :]
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -31,8 +33,17 @@ def dense_detection_modes(d, n_grid, m_modes):
     sw = np.sqrt(grid.weights)
     vals, vecs = np.linalg.eigh(sw[:, None] * k * sw[None, :])
     vals, vecs = vals[::-1], vecs[:, ::-1]
-    phi = (vecs[:, :m_modes] / sw[:, None]).T * np.sqrt(2 * np.pi)
-    return DetectionModeSet(grid_s=grid, modes=phi, chi=vals[:m_modes], chi_all=vals)
+    return grid, vals, (vecs[:, :m_modes] / sw[:, None]).T * np.sqrt(2 * np.pi)
+
+
+def dense_detection_modes(d, n_grid, m_modes):
+    """``dense_eigenpairs`` as a mode set, each mode held as the coefficients
+    of its n-term Legendre series: its discrete Legendre transform on the
+    Gauss grid, which the series gives back at the nodes to rounding."""
+    grid, vals, phi = dense_eigenpairs(d, n_grid, m_modes)
+    rows = legendre_vander(grid.nodes * (2.0 / d.B), n_grid)
+    coef = (2.0 / d.B) * (rows * grid.weights) @ phi.T
+    return DetectionModeSet(grid_s=grid, coef=coef, chi=vals[:m_modes], chi_all=vals)
 
 
 class TestDetectorParams:
@@ -56,19 +67,19 @@ class TestDetectionModes:
         assert a.grid_s is build_grid(-0.5 * d.B, 0.5 * d.B, n_grid)
         b = detection_modes(d, n_grid, m_modes)
         assert b.grid_s is a.grid_s
-        # the cached tables give the numbers that building them anew gives
+        # the cached grid gives the numbers that building it anew gives
         build_grid.cache_clear()
-        povm._band_rows.cache_clear()
         for other in (b, detection_modes(d, n_grid, m_modes)):
             assert np.array_equal(a.grid_s.nodes, other.grid_s.nodes)
-            assert np.array_equal(a.modes, other.modes) and np.array_equal(a.chi, other.chi)
+            assert np.array_equal(a.coef, other.coef) and np.array_equal(a.chi, other.chi)
+            assert np.array_equal(a.modes, other.modes)
 
     def test_cached_tables_are_read_only(self):
         d = DetectorParams(B=2 * np.pi, T=0.5)
         grid = build_grid(-0.5 * d.B, 0.5 * d.B, 64)
-        rows = povm._band_rows(d.B, 64, legendre_terms(d.c, 12))
-        assert rows.shape == (legendre_terms(d.c, 12), 64)
-        for table in (grid.nodes, grid.weights, rows, *povm._block_tables(rows.shape[0])):
+        m = detection_modes(d, 64, 12)
+        assert m.coef.shape == (legendre_terms(d.c, 12), 12)
+        for table in (grid.nodes, grid.weights, m.coef, *povm._block_tables(m.coef.shape[0])):
             with pytest.raises(ValueError, match="read-only"):
                 table.flat[0] = 0.0
         with pytest.raises(AttributeError):
@@ -206,13 +217,13 @@ class TestParityBlocksAgainstDenseReference:
     def test_matches_dense_eigensolve(self, n_grid, c, m_modes):
         d = DetectorParams(B=2 * np.pi, T=4 * c / (2 * np.pi))
         m = detection_modes(d, n_grid, m_modes)
-        ref = dense_detection_modes(d, n_grid, m_modes)
+        _, ref_chi, ref_modes = dense_eigenpairs(d, n_grid, m_modes)
         assert m.modes.shape == (m_modes, n_grid)
         # the expansion's N values are the top N of the n_grid dense ones; the
         # rest of the dense spectrum is rounding noise
         n_terms = m.chi_all.size
-        assert np.max(np.abs(m.chi_all - ref.chi_all[:n_terms])) < 1e-12
-        assert np.max(np.abs(ref.chi_all[n_terms:])) <= 1e-12
+        assert np.max(np.abs(m.chi_all - ref_chi[:n_terms])) < 1e-12
+        assert np.max(np.abs(ref_chi[n_terms:])) <= 1e-12
         assert np.array_equal(m.chi, m.chi_all[:m_modes])
         # modes inside a near-degenerate chi ~ 1 cluster are not unique, so
         # compare the retained operator sum_m chi_m phi_m phi_m^T.  It is
@@ -221,11 +232,12 @@ class TestParityBlocksAgainstDenseReference:
         # is large at the band edges
         sw = np.sqrt(m.grid_s.weights)
 
-        def operator(ms):
-            v = ms.modes * sw
-            return (v.T * ms.chi) @ v
+        def operator(modes, chi):
+            v = modes * sw
+            return (v.T * chi) @ v
 
-        assert np.max(np.abs(operator(m) - operator(ref))) < 1e-12
+        ref = operator(ref_modes, ref_chi[:m_modes])
+        assert np.max(np.abs(operator(m.modes, m.chi) - ref)) < 1e-12
         # every retained mode is exactly even or exactly odd in frequency
         for phi in m.modes:
             scale = np.max(np.abs(phi))

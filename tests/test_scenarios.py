@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import re
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
@@ -389,8 +390,9 @@ class TestSweepReuse:
 class TestCacheBounds:
     """Every cache that a new window can add to is bounded: the held source
     samples keep one entry per grid level of a run, MAX_REFINEMENTS + 1, the
-    Gauss-Legendre rules two per level, and povm's block-table and band-row
-    caches 4 tables each; the prolate expansion is not kept."""
+    Gauss-Legendre rules two per level, and povm's block-table cache 4
+    tables; the prolate expansion and the Legendre rows at the band nodes are
+    not kept."""
 
     def test_windows_of_another_n_replace_the_held_level(self):
         # fig1 at these windows has N = 262, 266 and 272 > 256, so each window
@@ -408,9 +410,27 @@ class TestCacheBounds:
     def test_povm_tables_held_per_grid_level(self):
         # six windows of six values of c, so six (c, M) and six N
         run_sweep(replace(preset("fig3"), n_signal=32, sweep=SweepSpec(0.1, 20.0, 6)))
-        for cache in (povm._block_tables, povm._band_rows):
-            assert cache.cache_info().currsize <= 4
+        assert povm._block_tables.cache_info().currsize <= 4
         assert not hasattr(povm._prolate_expansion, "cache_info")
+        # no module table holds Legendre rows at the nodes of a band grid
+        assert [name for name, value in vars(povm).items()
+                if hasattr(value, "cache_info")] == ["build_grid", "_block_tables"]
+
+    def test_sweep_holds_no_past_window(self):
+        # on the fig1 source each of these windows has N > 256, so a signal
+        # grid of its own; past windows' tables would add to the last one's
+        s = replace(preset("fig1"), sweep=SweepSpec(100.0, 115.0, 4))
+        tracemalloc.start()
+        try:
+            run_scenario(_at_window(s, 115.0))
+            alone_peak = tracemalloc.get_traced_memory()[1]
+            scenarios._source_levels.cache_clear()
+            tracemalloc.reset_peak()
+            run_sweep(s)
+            sweep_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sweep_peak <= 1.3 * alone_peak
 
     def test_gauss_rules_held_per_run(self):
         # N, and with it the signal grid, changes from window to window, so the
@@ -448,26 +468,38 @@ class TestCacheBounds:
 
 class TestSweepStore:
     """``sample_source`` holds the source samples of each grid level of the
-    last source, which a sweep's windows share; the band's Legendre rows of
-    one N on that level's grid are cached in ``povm``.  Neither changes a
-    number."""
+    last source, which a sweep's windows share, and each level's band field
+    holds the Legendre moments of the largest N a window has read.  Neither
+    changes a number."""
 
-    def test_fig4_builds_band_rows_once_per_n(self, monkeypatch):
-        built = []
-        real = povm.legendre_vander
+    def test_fig4_builds_each_moment_row_once(self, monkeypatch):
+        grown, tables = [], []
+        real_moments, real_vander = jsa.JsaField.signal_moments, jsa.legendre_vander
 
-        def counting(x, n_terms):
-            built.append(n_terms)
-            return real(x, n_terms)
+        def moments(field, n_terms):
+            held = field._moments
+            out = real_moments(field, n_terms)
+            assert np.array_equal(field._moments[:len(held)], held)  # kept, not rebuilt
+            grown.append((len(held), len(field._moments)))
+            return out
 
-        monkeypatch.setattr(povm, "legendre_vander", counting)
-        povm._band_rows.cache_clear()
+        def vander(x, n_terms, first=0):
+            tables.append((first, n_terms))
+            return real_vander(x, n_terms, first)
+
+        monkeypatch.setattr(jsa.JsaField, "signal_moments", moments)
+        monkeypatch.setattr(jsa, "legendre_vander", vander)
         s = preset("fig4")
-        terms = {legendre_terms(c, auto_mode_count(c))
-                 for c in (replace(s.detector, T=float(t)).c for t in s.sweep.values())}
-        assert len(run_sweep(s)) == 17 and len(terms) == 5
-        assert len(built) == len(terms)
-        assert set(built) == terms
+        terms = [legendre_terms(c, auto_mode_count(c))
+                 for c in (replace(s.detector, T=float(t)).c for t in s.sweep.values())]
+        assert len(run_sweep(s)) == 17 and len(set(terms)) == 5
+        # the sweep's five N share one grid level: each window that needs more
+        # rows adds only the ones it lacks, 62 in all, and only those windows
+        # evaluate Legendre rows at the band nodes, of the degrees they add
+        added = [(before, after) for before, after in grown if after > before]
+        assert [after for _, after in added] == sorted(set(terms))
+        assert sum(after - before for before, after in added) == max(terms) == 62
+        assert tables == added
 
     def test_sweep_csv_equals_windows_alone(self):
         s = preset("fig4")
