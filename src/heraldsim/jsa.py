@@ -60,17 +60,13 @@ class JsaField:
     """Joint amplitude sampled on the tensor grid grid_s x grid_i: float64
     when the values are real, complex128 otherwise.
 
-    ``centrosymmetric`` states that values[::-1, ::-1] equals values,
-    conjugated when complex, on a signal grid whose nodes and weights are
-    their own mirror image about 0; ``sample_jsa`` sets it where it builds
-    the field so.  The field holds the signal-axis Legendre moments that
-    ``signal_moments`` has built, so they live and die with the field.
+    The field holds the signal-axis Legendre moments that ``signal_moments``
+    has built, so they live and die with the field.
     """
 
     grid_s: FrequencyGrid
     grid_i: FrequencyGrid
     values: np.ndarray  # shape (n_s, n_i)
-    centrosymmetric: bool = False
     _moments: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -95,42 +91,41 @@ class JsaField:
 
         Each moment row is built once: a call for more rows than the field
         holds sums only the missing degrees and keeps them after the held
-        ones, and a call for fewer reads the held rows.  On a signal grid
-        whose nodes and weights are their own mirror image,
-        Pbar_k(-x) = (-1)^k Pbar_k(x) folds the sum onto the upper half of
-        the nodes: the even degrees sum the field's rows plus their mirror
-        rows, the odd degrees the difference.  On a centrosymmetric field,
-        C_k(-w_i) = (-1)^k C_k(w_i), conjugated when complex, so only the
-        first ceil(n_i / 2) idler columns are summed, and the rest are their
-        mirror image.
+        ones, and a call for fewer reads the held rows.  The signal grid must
+        be its own mirror image, nodes and weights, as every band grid is;
+        Pbar_k(-x) = (-1)^k Pbar_k(x) then folds the sum onto the upper half
+        of the nodes: the even degrees sum the field's rows plus their mirror
+        rows, the odd degrees the difference.  When the values are
+        centrosymmetric too, values[::-1, ::-1] equal to values conjugated,
+        as ``sample_jsa`` builds them on mirrored grids,
+        C_k(w_i) at idler column n_i - 1 - j is (-1)^k times the conjugate of
+        column j, so only the first ceil(n_i / 2) columns are summed and the
+        rest are their mirror image.
         """
         held = self._moments
         first = len(held)
         if n_terms <= first:
             return held[:n_terms]
         grid, v = self.grid_s, self.values
-        n_s, n_i = v.shape
         x, w = grid.nodes * (2.0 / (grid.hi - grid.lo)), grid.weights
-        cols = (n_i + 1) // 2 if self.centrosymmetric else n_i
+        if not (np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])):
+            raise ValueError("signal grid is not its own mirror image about 0")
+        n_s, n_i = v.shape
+        half = n_s // 2  # the upper half starts at the centre node of an odd grid
+        upper, lower = v[half:], v[n_s - 1 - half::-1]
+        cols = (n_i + 1) // 2 if np.array_equal(upper, lower[:, ::-1].conj()) else n_i
         moments = np.empty((n_terms, n_i), dtype=v.dtype)
         moments[:first] = held
         rows = moments[first:]
-        if np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]):
-            half = n_s // 2  # the upper half starts at the centre node of an odd grid
-            table = legendre_vander(x[half:], n_terms, first)
-            table *= w[half:]
-            if n_s % 2:
-                table[:, 0] *= 0.5  # the centre row is in both halves of the sums
-            upper, lower = v[half:, :cols], v[n_s - 1 - half::-1, :cols]
-            folded = np.empty(upper.shape, v.dtype)
-            # row r holds degree first + r, so rows first % 2, +2, ... are the even degrees
-            for r, fold in ((first % 2, np.add), (1 - first % 2, np.subtract)):
-                fold(upper, lower, out=folded)
-                np.matmul(table[r::2], folded, out=rows[r::2, :cols])
-        else:
-            table = legendre_vander(x, n_terms, first)
-            table *= w
-            np.matmul(table, v[:, :cols], out=rows[:, :cols])
+        table = legendre_vander(x[half:], n_terms, first)
+        table *= w[half:]
+        if n_s % 2:
+            table[:, 0] *= 0.5  # the centre row is in both halves of the sums
+        folded = np.empty((n_s - half, cols), v.dtype)
+        # row r holds degree first + r, so rows first % 2, +2, ... are the even degrees
+        for r, fold in ((first % 2, np.add), (1 - first % 2, np.subtract)):
+            fold(upper[:, :cols], lower[:, :cols], out=folded)
+            np.matmul(table[r::2], folded, out=rows[r::2, :cols])
         if cols < n_i:
             mirrored = rows[:, cols:]
             np.conjugate(rows[:, n_i // 2 - 1::-1], out=mirrored)
@@ -169,9 +164,8 @@ def sample_jsa(p: SourceParams, grid_s: FrequencyGrid, grid_i: FrequencyGrid) ->
     ceil(n_s/2) signal rows are evaluated: signal row n_s - 1 - r is row r
     reversed along the idler axis, conjugated when the phase is on.  With the
     phase off this is bitwise the direct evaluation: negating a node is exact
-    and np.sin is odd.  Such a field is marked ``centrosymmetric`` when its
-    signal weights are mirrored too, as every Gauss rule's are, which halves
-    the work of its Legendre moments.
+    and np.sin is odd.  Such a field is centrosymmetric, which halves the
+    work of its Legendre moments (``JsaField.signal_moments``).
     """
     w_s, w_i = grid_s.nodes, grid_i.nodes
     n_s = w_s.size
@@ -181,10 +175,7 @@ def sample_jsa(p: SourceParams, grid_s: FrequencyGrid, grid_i: FrequencyGrid) ->
     tail = head[:n_s - rows][::-1, ::-1]  # empty unless mirrored
     if p.include_group_delay_phase:
         tail = tail.conj()
-    values = np.concatenate((head, tail))
-    centrosymmetric = mirrored and np.array_equal(grid_s.weights, grid_s.weights[::-1])
-    return JsaField(grid_s=grid_s, grid_i=grid_i, values=values,
-                    centrosymmetric=centrosymmetric)
+    return JsaField(grid_s=grid_s, grid_i=grid_i, values=np.concatenate((head, tail)))
 
 
 def separable_jsa(

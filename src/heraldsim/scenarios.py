@@ -287,13 +287,15 @@ def sample_source(source: SourceParams, B: float, n_s: int, n_i: int) -> SourceS
     return samples
 
 
-def _sample_level(source: SourceParams, B: float, n_signal: int, n_idler: int,
-                  n_terms: int) -> SourceSamples:
-    """The source samples of one grid level for modes of N = ``n_terms``
-    Legendre terms: the signal grid has max(n_signal, N) nodes, so it
+def _sample_level(source: SourceParams, detector: DetectorParams, n_signal: int,
+                  n_idler: int, m_modes: Optional[int]) -> tuple[int, SourceSamples]:
+    """The mode count M and the source samples of one grid level
+    (``_mode_terms``); the signal grid has max(n_signal, N) nodes, so it
     integrates the modes' products exactly."""
+    m, n_terms = _mode_terms(detector.c, m_modes)
+    n_s = max(n_signal, n_terms)
     with _stage("jsa"):
-        return sample_source(source, B, max(n_signal, n_terms), n_idler)
+        return m, sample_source(source, detector.B, n_s, n_idler)
 
 
 def evaluate_pipeline(
@@ -304,22 +306,17 @@ def evaluate_pipeline(
     m_modes: Optional[int] = None,
     pair_probability_target: Optional[float] = None,
     external_efficiency: Optional[float] = None,
-    *,
-    samples: Optional[SourceSamples] = None,
 ) -> PipelineResult:
     """Run the full chain grids -> JSA -> modes -> collapse -> rho -> metrics
     on one grid level.
 
     The source is sampled first (``_sample_level``, which sizes the signal
-    grid to the modes' expansion), unless the caller passes the level's
-    ``samples``, as ``run_scenario``'s walk does with the level it chose.
-    The detection modes are then set on the same band grid, which
-    ``build_grid`` shares.  Only the modes, and the stages after them, depend
-    on the window T, and the modes only through c and N.
+    grid to the modes' expansion); the detection modes are then set on the
+    same band grid, which ``build_grid`` shares.  Only the modes, and the
+    stages after them, depend on the window T, and the modes only through
+    c and N.
     """
-    m, n_terms = _mode_terms(detector.c, m_modes)
-    if samples is None:
-        samples = _sample_level(source, detector.B, n_signal, n_idler, n_terms)
+    m, samples = _sample_level(source, detector, n_signal, n_idler, m_modes)
     jsa_band, norm_full = samples.jsa_band, samples.norm_full
     grid_i = jsa_band.grid_i
     n_s = jsa_band.grid_s.n
@@ -350,7 +347,7 @@ def evaluate_pipeline(
     report = MetricsReport(p_pair=p_pair, p_s=p_s, d_s=d_s, h=h, t_min=tmin, r_abs=r_abs,
                            resolved=samples.resolved, practical_rate=practical)
     return PipelineResult(report=report, modes=modes, state=state, n_signal=n_s,
-                          n_idler=grid_i.n)
+                          n_idler=n_idler)
 
 
 def run_scenario(s: Scenario, refine: bool = True) -> PipelineResult:
@@ -360,23 +357,21 @@ def run_scenario(s: Scenario, refine: bool = True) -> PipelineResult:
     on its source samples: its joint amplitude fields leave at most CHOP_TOL
     of their weight in their top Legendre degrees (``SourceSamples.resolved``).
     So the levels are sampled, at most MAX_REFINEMENTS doublings, until one
-    is resolved, and only that level is evaluated, from the samples the walk
-    read.  The walk stops before a level with an array of more than
-    ``MAX_CELLS`` entries (``Scenario`` checks that the first level fits);
-    when no level it samples is resolved, the last is evaluated, with
-    ``report.resolved`` False.  With ``refine`` False the first level is
-    evaluated, resolved or not."""
+    is resolved, and only that level is evaluated.  The walk stops before a
+    level with an array of more than ``MAX_CELLS`` entries (``Scenario``
+    checks that the first level fits); when no level it samples is resolved,
+    the last is evaluated, with ``report.resolved`` False.  With ``refine``
+    False the first level is evaluated, resolved or not."""
     n_s, n_i = s.n_signal, s.n_idler
-    m, n_terms = _mode_terms(s.detector.c, s.m_modes)
-    samples = _sample_level(s.source, s.detector.B, n_s, n_i, n_terms)
+    n_terms = _mode_terms(s.detector.c, s.m_modes)[1]
     for _ in range(MAX_REFINEMENTS if refine else 0):
-        if samples.resolved or _level_cells(2 * n_s, 2 * n_i, n_terms) > MAX_CELLS:
+        if (_sample_level(s.source, s.detector, n_s, n_i, s.m_modes)[1].resolved
+                or _level_cells(2 * n_s, 2 * n_i, n_terms) > MAX_CELLS):
             break
         n_s, n_i = 2 * n_s, 2 * n_i
-        samples = _sample_level(s.source, s.detector.B, n_s, n_i, n_terms)
-    return evaluate_pipeline(s.source, s.detector, n_signal=n_s, n_idler=n_i, m_modes=m,
-                             pair_probability_target=s.pair_probability,
-                             external_efficiency=s.external_efficiency, samples=samples)
+    return evaluate_pipeline(s.source, s.detector, n_signal=n_s, n_idler=n_i,
+                             m_modes=s.m_modes, pair_probability_target=s.pair_probability,
+                             external_efficiency=s.external_efficiency)
 
 
 def run_sweep(s: Scenario) -> list[tuple[float, float, MetricsReport]]:

@@ -17,7 +17,7 @@ from heraldsim.jsa import (
     sample_jsa,
     separable_jsa,
 )
-from heraldsim.numerics import FrequencyGrid, build_grid
+from heraldsim.numerics import FrequencyGrid, build_grid, legendre_vander
 from heraldsim.scenarios import PRESET_NAMES, preset, support_half_widths
 
 
@@ -169,18 +169,35 @@ class TestMirroredSampling:
     @pytest.mark.parametrize("phase", [False, True])
     @pytest.mark.parametrize("n_s, n_i", [(16, 24), (17, 25), (63, 97)])
     def test_mirrored_fields_are_centrosymmetric(self, phase, n_s, n_i):
-        # what the flag states, which the Legendre moments rely on
+        # what the Legendre moments fold the idler axis on
         p = SourceParams(sigma=1.0, mu_s=2.0, mu_i=-1.0, include_group_delay_phase=phase)
         field = sample_jsa(p, build_grid(-3.0, 3.0, n_s), build_grid(-4.0, 4.0, n_i))
-        assert field.centrosymmetric
         assert np.array_equal(field.values[::-1, ::-1], field.values.conj())
-        mirrored = build_grid(-3.0, 3.0, n_s)
-        uneven = FrequencyGrid(nodes=mirrored.nodes, weights=np.linspace(1.0, 2.0, n_s),
-                               lo=mirrored.lo, hi=mirrored.hi)
-        for gs, gi in ((build_grid(-3.0, 2.0, n_s), build_grid(-4.0, 4.0, n_i)),
-                       (mirrored, build_grid(-4.0, 3.0, n_i)),
-                       (uneven, build_grid(-4.0, 4.0, n_i))):
-            assert not sample_jsa(p, gs, gi).centrosymmetric
+
+    @pytest.mark.parametrize("phase", [False, True])
+    @pytest.mark.parametrize("n_s, n_i", [(16, 24), (17, 25)])
+    def test_moments_fold_only_a_centrosymmetric_field(self, phase, n_s, n_i):
+        # one cell off the mirror image in the upper idler half: folding the
+        # idler axis would mirror the lower half's moments over that column
+        p = SourceParams(sigma=1.0, mu_s=2.0, mu_i=-1.0, include_group_delay_phase=phase)
+        band, idler = build_grid(-np.pi, np.pi, n_s), build_grid(-4.0, 4.0, n_i)
+        values = sample_jsa(p, band, idler).values.copy()
+        values[n_s // 3, n_i - 3] += 0.25
+        field = JsaField(grid_s=band, grid_i=idler, values=values)
+        x = band.nodes * (2.0 / (band.hi - band.lo))
+        want = (legendre_vander(x, 12) * band.weights) @ values
+        got = field.signal_moments(12)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_moments_need_a_mirrored_signal_grid(self):
+        p = SourceParams(sigma=1.0, mu_s=2.0, mu_i=-1.0)
+        band, idler = build_grid(-np.pi, np.pi, 16), build_grid(-4.0, 4.0, 24)
+        uneven = FrequencyGrid(nodes=band.nodes, lo=band.lo, hi=band.hi,
+                               weights=band.weights * np.linspace(0.5, 1.5, 16))
+        for grid in (build_grid(-np.pi, 2.0, 16), uneven):
+            field = JsaField(grid_s=grid, grid_i=idler, values=sample_jsa(p, band, idler).values)
+            with pytest.raises(ValueError, match="mirror image"):
+                field.signal_moments(4)
 
 
 class TestRealField:
