@@ -166,12 +166,11 @@ class Scenario:
         if not c <= MAX_CELLS:
             raise ConfigError(f"c = B T / 4 = {c:g} at T = {t_max:g}: its modes would "
                               f"need more than {MAX_CELLS} Legendre terms")
-        n_terms = _mode_terms(c, self.m_modes)[1]
-        if _level_cells(self.n_signal, self.n_idler, n_terms) > MAX_CELLS:
-            raise ConfigError(
-                f"the {max(self.n_signal, n_terms)}x{self.n_idler} grid, with N = "
-                f"{n_terms} Legendre terms per mode at T = {t_max:g}, needs an array "
-                f"of more than {MAX_CELLS} entries")
+        _, n_terms, n_s, cells = _level_size(c, self.m_modes, self.n_signal, self.n_idler)
+        if cells > MAX_CELLS:
+            raise ConfigError(f"the {n_s}x{self.n_idler} grid, with N = {n_terms} Legendre "
+                              f"terms per mode at T = {t_max:g}, needs an array of more "
+                              f"than {MAX_CELLS} entries")
 
 
 @dataclass(frozen=True)
@@ -202,20 +201,18 @@ def auto_mode_count(c: float) -> int:
     return max(DEFAULT_M_MODES, math.ceil(2.0 * c / np.pi) + 10)
 
 
-def _mode_terms(c: float, m_modes: Optional[int]) -> tuple[int, int]:
-    """The mode count M, ``m_modes`` or ``auto_mode_count(c)`` when it is
-    None, and N = ``legendre_terms(c, M)``, the terms of each mode's
-    expansion."""
+def _level_size(c: float, m_modes: Optional[int], n_signal: int,
+                n_idler: int) -> tuple[int, int, int, int]:
+    """The sizes of the n_signal x n_idler grid level at the time-bandwidth
+    parameter c: the mode count M (``m_modes``, or ``auto_mode_count(c)`` when
+    None), the terms N = ``legendre_terms(c, M)`` of each mode's expansion, the
+    n_s = max(n_signal, N) signal nodes, which integrate the modes' products
+    exactly, and the entries of the level's largest array (``MAX_CELLS``)."""
     m = m_modes if m_modes is not None else auto_mode_count(c)
-    return m, legendre_terms(c, m)
-
-
-def _level_cells(n_signal: int, n_idler: int, n_terms: int) -> int:
-    """Entries of the largest array of the grid level whose signal grid has
-    n_s = max(n_signal, N) nodes (``MAX_CELLS``); the moments, N x n_i, are
-    no larger than the n_s x n_i fields."""
+    n_terms = legendre_terms(c, m)
     n_s = max(n_signal, n_terms)
-    return max(n_s * n_idler, n_terms * n_s, n_s * (n_s // 8), n_idler * (n_idler // 8))
+    cells = max(n_s * n_idler, n_terms * n_s, n_s * (n_s // 8), n_idler * (n_idler // 8))
+    return m, n_terms, n_s, cells
 
 
 @dataclass(frozen=True)
@@ -226,12 +223,8 @@ class SourceSamples:
     Legendre tail of the full-support and band fields.
 
     tau_sig is PULSE_LENGTH_FACTOR times the RMS time width of the band
-    marginal sqrt(integral |jsa_band|^2 dw_i).  ``sample_source`` holds one
-    of these per refinement step of the last source, so the windows over one
-    source that share a signal grid share them.  The band field holds its
-    signal-axis Legendre moments (``JsaField.signal_moments``), which every
-    window's collapse reads: the first window builds the rows of its N, and a
-    window of a larger N adds only the rows it lacks.
+    marginal sqrt(integral |jsa_band|^2 dw_i).  ``sample_source`` holds these
+    as grid levels (``_source_levels``).
     """
 
     jsa_band: JsaField  # band grid x idler grid
@@ -247,25 +240,24 @@ class SourceSamples:
 
 @lru_cache(maxsize=1)
 def _source_levels(source: SourceParams, B: float) -> dict[int, SourceSamples]:
-    """The grid levels {n_i: SourceSamples} that ``sample_source`` holds for
-    the last (source, B) it was called with.  The idler grid n_i fixes the
-    refinement step of a run and does not depend on the window, so at most
-    MAX_REFINEMENTS + 1 levels are held: one band field of n_s x n_i
-    amplitudes per step, with its norm, tail and tau_sig.  A call for another
-    pair drops them before ``sample_source`` samples its own, so the fields of
-    two sources are never held together."""
+    """The grid levels {n_i: SourceSamples} that ``sample_source`` holds: one
+    per idler grid n_i of the last (source, B) sampled.  n_i fixes a run's
+    refinement step and not its window, so at most MAX_REFINEMENTS + 1 levels
+    are held.  A level keeps its band field, with the Legendre moment rows
+    that windows have read from it (``JsaField.signal_moments``), its norm,
+    tail and tau_sig.  A window whose N gives its level another n_s replaces
+    the held level of its n_i, and a call for another (source, B) drops them
+    all before it samples, so the fields of two sources are never held
+    together."""
     return {}
 
 
 def sample_source(source: SourceParams, B: float, n_s: int, n_i: int) -> SourceSamples:
     """Sample the joint amplitude for a filter band B on n_s x n_i grids, or
-    return the level held for the last (source, B) at this n_i when it has
-    this n_s (``_source_levels``).  A held level of another n_s, which a
-    window of another N meets, is dropped before the new one is sampled, so
-    the new level replaces it instead of adding to the held ones.
+    return the held level of this n_s and n_i (``_source_levels``).
 
     The full-support field is reduced to its norm and its Legendre tail before
-    the band is sampled, so only the band field is kept.
+    the band is sampled, so the two fields are never in memory together.
     """
     levels = _source_levels(source, B)
     if n_i in levels and levels[n_i].jsa_band.grid_s.n == n_s:
@@ -289,11 +281,9 @@ def sample_source(source: SourceParams, B: float, n_s: int, n_i: int) -> SourceS
 
 def _sample_level(source: SourceParams, detector: DetectorParams, n_signal: int,
                   n_idler: int, m_modes: Optional[int]) -> tuple[int, SourceSamples]:
-    """The mode count M and the source samples of one grid level
-    (``_mode_terms``); the signal grid has max(n_signal, N) nodes, so it
-    integrates the modes' products exactly."""
-    m, n_terms = _mode_terms(detector.c, m_modes)
-    n_s = max(n_signal, n_terms)
+    """The mode count M and the source samples of one grid level, whose
+    signal grid has n_s nodes (``_level_size``)."""
+    m, _, n_s, _ = _level_size(detector.c, m_modes, n_signal, n_idler)
     with _stage("jsa"):
         return m, sample_source(source, detector.B, n_s, n_idler)
 
@@ -363,10 +353,9 @@ def run_scenario(s: Scenario, refine: bool = True) -> PipelineResult:
     the last is evaluated, with ``report.resolved`` False.  With ``refine``
     False the first level is evaluated, resolved or not."""
     n_s, n_i = s.n_signal, s.n_idler
-    n_terms = _mode_terms(s.detector.c, s.m_modes)[1]
     for _ in range(MAX_REFINEMENTS if refine else 0):
         if (_sample_level(s.source, s.detector, n_s, n_i, s.m_modes)[1].resolved
-                or _level_cells(2 * n_s, 2 * n_i, n_terms) > MAX_CELLS):
+                or _level_size(s.detector.c, s.m_modes, 2 * n_s, 2 * n_i)[3] > MAX_CELLS):
             break
         n_s, n_i = 2 * n_s, 2 * n_i
     return evaluate_pipeline(s.source, s.detector, n_signal=n_s, n_idler=n_i,
@@ -377,14 +366,10 @@ def run_scenario(s: Scenario, refine: bool = True) -> PipelineResult:
 def run_sweep(s: Scenario) -> list[tuple[float, float, MetricsReport]]:
     """Evaluate the scenario at each sweep point; rows ascend in T.
 
-    The source does not depend on T, and ``sample_source`` holds the last
-    source's levels, one per refinement step, so the source is sampled, and
-    tau_sig read, once per grid level for all the windows that share a signal
-    grid.  A window whose N exceeds n_signal has a grid of its own, and its
-    level replaces the last window's.  The band field's Legendre moments
-    depend on T only through N, and the level holds them, grown to the
-    largest N read; ``povm`` caches the parts of the prolate blocks that do
-    not depend on c per N.
+    Each window is a run of its own (``run_scenario``).  The source does not
+    depend on T, so the windows read the grid levels held for it
+    (``_source_levels``), and ``povm`` caches the parts of the prolate blocks
+    that do not depend on c per N.
     """
     if s.sweep is None:
         raise ConfigError("scenario has no sweep definition")
@@ -410,15 +395,26 @@ _OPTIONAL_KEYS = {
 }
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's keys and values, none of the keys given twice."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"key {key!r} is given twice")
+        data[key] = value
+    return data
+
+
 def parse_config_text(text: str) -> dict:
-    """Parse a flat ``key = value`` config (or a JSON object) into a dict."""
+    """Parse a flat ``key = value`` config (or a JSON object) into a dict; a
+    key given twice is an error."""
     if text.lstrip().startswith("{"):
         # JSON text that opens with a brace parses to an object or not at all
         try:
-            return json.loads(text)
+            return json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON config: {exc}") from exc
-    data = {}
+    data, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -426,7 +422,10 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        data[key] = value
+        if key in lines:
+            raise ConfigError(f"key {key!r} is given twice, on lines {lines[key]} "
+                              f"and {lineno}")
+        data[key], lines[key] = value, lineno
     return data
 
 
@@ -529,10 +528,10 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def read_config(path: str | Path) -> dict:
-    """The keys of a config file, for ``scenario_from_dict``."""
+    """The keys of a config file of UTF-8 text, for ``scenario_from_dict``."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text)
 

@@ -58,6 +58,14 @@ class TestRunCommand:
         assert cli.main(["run", str(tmp_path / "nope.cfg")]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_config_not_in_utf8_is_one_line_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(bytes.fromhex("fffe00626164"))
+        assert cli.main(["run", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: cannot read config") and err.count("\n") == 1
+
     def test_invalid_config_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("sigma = -3\nmu_s = 0\nmu_i = 0\nB = 1\nT = 1\n")

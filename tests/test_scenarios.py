@@ -42,6 +42,7 @@ from heraldsim.units import (
     pump_bandwidth_to_sigma,
     wavelength_band_to_angular_bandwidth,
 )
+from test_herald import SOURCES
 
 FIG3_TEXT = """\
 # non-factorable source, single-mode window
@@ -73,6 +74,14 @@ class TestConfigParsing:
     def test_invalid_json(self, text):
         with pytest.raises(ConfigError, match="invalid JSON config"):
             parse_config_text(text)
+
+    def test_flat_key_given_twice(self):
+        with pytest.raises(ConfigError, match="key 'T' is given twice, on lines 2 and 4"):
+            parse_config_text("# a window\nT = 0.5\nsigma = 1\nT = 9\n")
+
+    def test_json_key_given_twice(self):
+        with pytest.raises(ConfigError, match="key 'T' is given twice"):
+            parse_config_text('{"T": 0.5, "sigma": 1, "T": 9}')
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -770,22 +779,33 @@ class TestPhaseAsWindowOffset:
     mirrored half included, and the complex collapse and eigensolve against
     a path whose field is real."""
 
-    @pytest.mark.parametrize("name", [n for n in PRESETS if "sweep" not in PRESETS[n]])
-    def test_phase_on_is_the_real_field_under_shifted_modes(self, name):
-        s = preset(name)
-        on = evaluate_pipeline(replace(s.source, include_group_delay_phase=True),
-                               s.detector, m_modes=s.m_modes)
-        off = scenarios.sample_source(s.source, s.detector.B, on.n_signal, on.n_idler)
+    @staticmethod
+    def assert_real_field_under_shifted_modes(source, detector, m_modes=None):
+        on = evaluate_pipeline(replace(source, include_group_delay_phase=True), detector,
+                               m_modes=m_modes)
+        off = scenarios.sample_source(source, detector.B, on.n_signal, on.n_idler)
         band = off.jsa_band
         assert band.values.dtype == np.float64
         assert np.array_equal(band.grid_s.nodes, on.modes.grid_s.nodes)
-        shifted = on.modes.modes * np.exp(0.5j * s.source.mu_s * band.grid_s.nodes)
+        shifted = on.modes.modes * np.exp(0.5j * source.mu_s * band.grid_s.nodes)
         collapsed = (shifted * band.grid_s.weights) @ band.values
-        state = idler_density_matrix(collapsed, povm_weights(on.modes, s.detector.eta),
+        state = idler_density_matrix(collapsed, povm_weights(on.modes, detector.eta),
                                      band.grid_i)
         assert state.lam[0] == pytest.approx(on.report.h, rel=0, abs=1e-14)
         d_s = state.click_weight / (2.0 * np.pi * off.norm_full)
         assert d_s == pytest.approx(on.report.d_s, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("name", [n for n in PRESETS if "sweep" not in PRESETS[n]])
+    def test_phase_on_is_the_real_field_under_shifted_modes(self, name):
+        s = preset(name)
+        self.assert_real_field_under_shifted_modes(s.source, s.detector, s.m_modes)
+
+    @given(params=SOURCES)
+    @settings(max_examples=15, deadline=None)
+    def test_drawn_sources(self, params):
+        sigma, mu_s, mu_i, B, T = params
+        self.assert_real_field_under_shifted_modes(
+            SourceParams(sigma=sigma, mu_s=mu_s, mu_i=mu_i), DetectorParams(B=B, T=T))
 
 
 class TestPumpFloor:
